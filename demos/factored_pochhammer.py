@@ -5,7 +5,7 @@ Run:  python3 demos/factored_pochhammer.py
 
 from qcongruence.constructs import (a_poly, b_poly, c_poly, expand_product,
                                     lambda_residue, n_alpha, s_set)
-from qcongruence.qseries import mul_factored, poch_ratio, pochhammer
+from qcongruence.qseries import poch_ratio, pochhammer
 
 
 def main():
@@ -47,7 +47,7 @@ def main():
 
     print("The structural identity: ratio * B = A exactly, as factored")
     print("objects, sign and q-power included:")
-    lhs = mul_factored(ratio, B)
+    lhs = ratio * B
     print(f"  ratio * B = {lhs!r}")
     assert lhs == A
     print()

@@ -4,7 +4,6 @@ Run:  python3 demos/q_congruence_walkthrough.py
 """
 
 from qcongruence.constructs import a_poly, b_poly, c_poly, expand_product
-from qcongruence.qseries import mul_factored
 from qcongruence.verifier import _qcong_data, poly_digest, verify_q_congruence
 
 
@@ -28,7 +27,7 @@ def main():
 
     A = a_poly(r, m, n)
     C = c_poly(m, n)
-    AC = mul_factored(A, C)
+    AC = A * C
     print("The asserted modulus is the product A * C:")
     print(f"  A = {A!r}, C = {C!r}")
     print(f"  A * C = {data['AC']!r}")

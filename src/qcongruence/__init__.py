@@ -4,25 +4,24 @@ for divisibility of the binomial sums they specialize to at q = 1.
 
 The package is organized bottom-up:
 
-  bigpoly     dense integer/rational polynomials and Laurent wrappers
+  bigpoly     dense integer polynomials, Laurent wrappers, the 1 - q^h kernel
   cyclotomic  Phi_d, Euler phi, divisors, q-integers
   qseries     factored products of cyclotomics; Pochhammer symbols
   constructs  the named objects A, B, C, N and the index set S
-  cycmodfield arithmetic in Q[q]/(Phi_d) and folded per-modulus checks
+  cycmodfield folded per-modulus checks mod Phi_d
   verifier    claim-level verdicts over exact integers and polynomials
   cli         `qcongruence show ...` and `qcongruence verify ...`
 """
 
-from .bigpoly import IntPoly, LaurentInt, RatPoly
+from .bigpoly import IntPoly, LaurentInt
 from .constructs import (Params, a_poly, b_poly, c_poly, expand_product,
                          lambda_residue, n_alpha, negative_tail, s_set)
-from .cyclotomic import (divisors, euler_phi, phi, phi_at_one,
-                         phi_by_division, q_int)
-from .cycmodfield import (CycModElt, FoldedRatio, check_block_constant,
+from .cyclotomic import divisors, euler_phi, phi, phi_at_one, q_int
+from .cycmodfield import (FoldedRatio, check_block_constant,
                           check_block_decomposition, check_block_sum,
                           check_mu_consistency, check_qbinom_reduction,
-                          check_sign_reduction, folded_equal, reduce_mod)
-from .exceptions import DomainError, NotDivisible, NotInvertible
+                          check_sign_reduction, folded_equal)
+from .exceptions import DomainError, NotDivisible
 from .qseries import FactoredQ, pochhammer, poch_ratio, qbinom_int
 from .verifier import (Verdict, poly_digest, verify_binomial_sum,
                        verify_central_binomial, verify_q_congruence,
@@ -33,15 +32,14 @@ from .verifier import (Verdict, poly_digest, verify_binomial_sum,
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntPoly", "LaurentInt", "RatPoly",
+    "IntPoly", "LaurentInt",
     "Params", "a_poly", "b_poly", "c_poly", "expand_product",
     "lambda_residue", "n_alpha", "negative_tail", "s_set",
-    "divisors", "euler_phi", "phi", "phi_at_one", "phi_by_division", "q_int",
-    "CycModElt", "FoldedRatio", "check_block_constant",
+    "divisors", "euler_phi", "phi", "phi_at_one", "q_int",
+    "FoldedRatio", "check_block_constant",
     "check_block_decomposition", "check_block_sum", "check_mu_consistency",
     "check_qbinom_reduction", "check_sign_reduction", "folded_equal",
-    "reduce_mod",
-    "DomainError", "NotDivisible", "NotInvertible",
+    "DomainError", "NotDivisible",
     "FactoredQ", "pochhammer", "poch_ratio", "qbinom_int",
     "Verdict", "poly_digest", "verify_binomial_sum",
     "verify_central_binomial", "verify_q_congruence",

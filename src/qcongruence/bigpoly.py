@@ -1,5 +1,5 @@
 """
-Dense exact polynomial arithmetic over Z and Q, plus integer Laurent
+Dense exact polynomial arithmetic over Z, plus integer Laurent
 polynomials.
 
 Coefficients are stored ascending, entry i holding the coefficient of q^i,
@@ -14,12 +14,16 @@ dense operands: coefficients are packed into big nonnegative integers in
 fixed byte-aligned slots, CPython multiplies those, and the convolution is
 read back out of the slots. Positive and negative parts are packed
 separately so the slot digits stay nonnegative. Everything is exact.
+
+Multiplying or exactly dividing a coefficient list by a binomial 1 - q^h
+is a linear pass (mul_binom, div_binom); the cyclotomic table and the
+q-congruence accumulation are built from it.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-from fractions import Fraction
+import operator
 
 from .exceptions import NotDivisible
 
@@ -127,6 +131,45 @@ def _mul_lists(a, b):
     return _mul_kronecker(a, b)
 
 
+def mul_binom(cs, h):
+    """A coefficient list times 1 - q^h, h >= 1, as a new list.
+
+    >>> mul_binom([1, 1], 2)
+    [1, 1, -1, -1]
+    """
+    if h < 1:
+        raise ValueError(f"binomial 1 - q^{h}")
+    out = list(cs) + [0] * h
+    out[h:] = map(operator.sub, out[h:], cs)
+    return out
+
+
+def div_binom(cs, h):
+    """Exact quotient of a coefficient list by 1 - q^h, h >= 1, as a new list.
+
+    From f = g*(1 - q^h): f_i = g_i - g_{i-h}, so g_i = f_i + g_{i-h} with
+    g vanishing outside 0 <= i < len(f) - h. The top h entries of f must
+    then equal -g_{i-h}; anything else raises NotDivisible.
+
+    >>> div_binom([1, 1, -1, -1], 2)
+    [1, 1]
+    >>> div_binom([1, 0, 1], 1)
+    Traceback (most recent call last):
+    ...
+    qcongruence.exceptions.NotDivisible: inexact division by 1 - q^1
+    """
+    if h < 1:
+        raise ValueError(f"binomial 1 - q^{h}")
+    n = max(len(cs) - h, 0)
+    g = list(cs[:n])
+    for i in range(h, n):
+        g[i] += g[i - h]
+    if list(cs[n:]) != [-g[i - h] if i >= h else 0
+                        for i in range(n, len(cs))]:
+        raise NotDivisible(f"inexact division by 1 - q^{h}")
+    return g
+
+
 @dataclasses.dataclass(init=False, frozen=True, eq=True)
 class IntPoly:
     """A polynomial in q with integer coefficients."""
@@ -209,18 +252,6 @@ class IntPoly:
             e >>= 1
         return out
 
-    def times_q(self, k):
-        """Multiply by q^k, k >= 0.
-
-        >>> IntPoly(1, 1).times_q(2)
-        q^3 + q^2
-        """
-        if k < 0:
-            raise ValueError("use LaurentInt for negative exponents")
-        if self.is_zero:
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
     def evaluate(self, x):
         """Horner evaluation at an integer or Fraction.
 
@@ -297,127 +328,6 @@ class IntPoly:
                     rem[i + j] -= c * mc[j]
         return IntPoly(rem[:dm - 1])
 
-    def to_rat(self):
-        return RatPoly([Fraction(c) for c in self.coeffs])
-
-
-@dataclasses.dataclass(init=False, frozen=True, eq=True)
-class RatPoly:
-    """A polynomial in q with rational coefficients."""
-
-    coeffs: tuple
-
-    def __init__(self, *coeffs):
-        if len(coeffs) == 1 and not isinstance(coeffs[0], (int, Fraction)):
-            coeffs = tuple(coeffs[0])
-        object.__setattr__(
-            self, "coeffs", _trim([Fraction(c) for c in coeffs]))
-
-    def __repr__(self):
-        return _fmt_terms(self.coeffs)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    @property
-    def lead(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __add__(self, other):
-        other = _as_rat(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-_as_rat(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatPoly([other * c for c in self.coeffs])
-        other = _as_rat(other)
-        if self.is_zero or other.is_zero:
-            return RatPoly()
-        # Rational products stay small here (field reductions, Euclid), so
-        # plain convolution is enough.
-        return RatPoly(_mul_school(list(self.coeffs), list(other.coeffs)))
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other):
-        other = _as_rat(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        bc = other.coeffs
-        db = len(bc)
-        if len(rem) < db:
-            return RatPoly(), self
-        lead = bc[-1]
-        qout = [Fraction(0)] * (len(rem) - db + 1)
-        for i in range(len(rem) - db, -1, -1):
-            c = rem[i + db - 1] / lead
-            if c:
-                qout[i] = c
-                for j in range(db):
-                    rem[i + j] -= c * bc[j]
-        return RatPoly(qout), RatPoly(rem[:db - 1])
-
-    def rem_mod(self, mod):
-        """Remainder modulo another polynomial (IntPoly or RatPoly).
-
-        >>> RatPoly(0, 0, 1).rem_mod(IntPoly(1, 1, 1))
-        -q - 1
-        """
-        return divmod(self, _as_rat(mod))[1]
-
-    def evaluate(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def monic(self):
-        if self.is_zero:
-            return self
-        inv = 1 / self.lead
-        return RatPoly([c * inv for c in self.coeffs])
-
-    def clear_denominators(self):
-        """Return (IntPoly, d) with d > 0 minimal and d * self integral."""
-        if self.is_zero:
-            return IntPoly(), 1
-        d = math.lcm(*(c.denominator for c in self.coeffs))
-        return IntPoly([int(c * d) for c in self.coeffs]), d
-
-
-def _as_rat(p):
-    if isinstance(p, RatPoly):
-        return p
-    if isinstance(p, IntPoly):
-        return p.to_rat()
-    return RatPoly(p)
-
 
 @dataclasses.dataclass(init=False, frozen=True, eq=True)
 class LaurentInt:
@@ -454,14 +364,6 @@ class LaurentInt:
     @property
     def is_zero(self):
         return self.base.is_zero
-
-    @property
-    def min_exp(self):
-        return self.shift
-
-    @property
-    def max_exp(self):
-        return self.shift + len(self.base.coeffs) - 1
 
     def __add__(self, other):
         other = _as_laurent(other)
@@ -500,9 +402,6 @@ class LaurentInt:
         if self.is_zero:
             return self
         return LaurentInt(self.base, self.shift + k)
-
-    def evaluate_at_one(self):
-        return self.base.evaluate(1)
 
 
 def _as_laurent(p):

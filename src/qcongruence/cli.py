@@ -12,7 +12,10 @@ open conjecture: request it explicitly, and a counterexample exits with
 code 3 as data, not as a suite failure.
 
 Grid flags --r --m --rho --n take a single integer or an inclusive range
-`a..b`. Instances whose (r, m) is not coprime, or whose parameters fall
+`a..b`; a range with a negative start is attached with `=`, as in
+`--r=-6..6`. Each flag, --d-max and `show --d` have ceilings (GRID_LIMITS,
+D_MAX_LIMIT, SHOW_D_LIMIT); a value above one exits with code 2 before any
+work starts. Instances whose (r, m) is not coprime, or whose parameters fall
 outside a claim's domain (for example alpha = r/m integral), are skipped
 and counted, never errored. Exit codes: 0 all pass, 1 a proven claim
 failed, 2 usage error, 3 conjecture counterexample.
@@ -57,16 +60,29 @@ _NEEDS = {
 
 _PARAM_ORDER = ("r", "m", "rho", "n", "d", "s", "t", "h")
 
+# Input ceilings. The q-congruence's polynomials grow like rho*m*n^2/2
+# coefficients of about 2*rho*n bits, and a grid's task count is the
+# product of its flags' lengths; these keep both within memory.
+# flag -> (largest |value|, most values in one range)
+GRID_LIMITS = {"r": (50, 32), "m": (10, 10), "rho": (6, 6), "n": (100, 100)}
+D_MAX_LIMIT = 100
+SHOW_D_LIMIT = 10000
 
-def _parse_range(text):
-    """'7' or '-3..4' to an inclusive list."""
+
+def _parse_range(text, limit, most):
+    """'7' or '-3..4' to an inclusive list, with every |value| <= limit
+    and at most `most` values."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
         if lo > hi:
             raise ValueError(f"empty range {text}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    else:
+        lo = hi = int(text)
+    if max(-lo, hi) > limit or hi - lo >= most:
+        raise ValueError(f"{text} exceeds |value| <= {limit} or "
+                         f"{most} values")
+    return list(range(lo, hi + 1))
 
 
 def _params_ok(r, m):
@@ -198,28 +214,28 @@ def _run_task(task):
     return [_check_to_verdict(kind, args, check(*args))]
 
 
+def _collect(batches, fail_fast):
+    """Concatenate verdict batches in order; with fail_fast, stop after the
+    first batch holding a failure. Returns (verdicts, stopped)."""
+    out = []
+    for batch in batches:
+        out.extend(batch)
+        if fail_fast and any(not v.passed for v in batch):
+            return out, True
+    return out, False
+
+
 def _run_all(tasks, jobs, fail_fast):
     """Evaluate tasks, preserving task order in the output."""
-    out = []
-    stopped = False
-    if jobs <= 1:
-        for task in tasks:
-            batch = _run_task(task)
-            out.extend(batch)
-            if fail_fast and any(not v.passed for v in batch):
-                stopped = True
-                break
-        return out, stopped
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_task, t) for t in tasks]
-        for fut in futures:
-            batch = fut.result()
-            out.extend(batch)
-            if fail_fast and any(not v.passed for v in batch):
-                stopped = True
-                for rest in futures:
-                    rest.cancel()
-                break
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
+        return _collect((_run_task(t) for t in tasks), fail_fast)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(tasks) // (8 * workers))
+        out, stopped = _collect(pool.map(_run_task, tasks, chunksize=chunk),
+                                fail_fast)
+        if stopped:
+            pool.shutdown(cancel_futures=True)
     return out, stopped
 
 
@@ -286,24 +302,29 @@ def _render_csv(spec, verdicts, counts, stopped, timestamp):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _poly_lines(name, factored, at_one=True):
+def _poly_lines(name, factored):
     lines = [f"{name} = {factored!r}"]
     expanded = expand_product(factored)
     lines.append(f"{name} = {expanded!r}")
-    if at_one:
-        val = factored.value_at_one()
-        lines.append(f"{name}(1) = {val.numerator if val.denominator == 1 else val}")
+    val = factored.value_at_one()
+    lines.append(f"{name}(1) = {val.numerator if val.denominator == 1 else val}")
     return lines
 
 
-def cmd_show(args):
+def cmd_show(args, parser):
     obj = args.object
     need = {"phi": ("d",), "lambda": ("r", "m", "d"),
             "sset": ("r", "m", "n"), "A": ("r", "m", "n"),
             "B": ("r", "m", "n"), "C": ("m", "n"), "N": ("r", "m", "n")}[obj]
     for flag in need:
         if getattr(args, flag) is None:
-            raise SystemExit(f"show {obj} needs --{flag}")
+            parser.error(f"show {obj} needs --{flag}")
+    limits = {f: GRID_LIMITS[f][0] for f in ("r", "m", "n")}
+    limits["d"] = SHOW_D_LIMIT
+    for flag, limit in limits.items():
+        value = getattr(args, flag)
+        if value is not None and abs(value) > limit:
+            parser.error(f"--{flag} {value} exceeds |value| <= {limit}")
     out = []
     if obj == "phi":
         d = args.d
@@ -338,9 +359,11 @@ def cmd_verify(args, parser):
                 parser.error(f"claim {args.claim} needs --{flag}")
             continue
         try:
-            grid[flag] = _parse_range(raw)
+            grid[flag] = _parse_range(raw, *GRID_LIMITS[flag])
         except ValueError as exc:
-            parser.error(str(exc))
+            parser.error(f"--{flag}: {exc}")
+    if args.d_max > D_MAX_LIMIT:
+        parser.error(f"--d-max {args.d_max} exceeds {D_MAX_LIMIT}")
 
     tasks = []
     skipped = 0
@@ -395,20 +418,23 @@ def build_parser():
     p_show = sub.add_parser("show", help="print one construct")
     p_show.add_argument("object",
                         choices=["phi", "lambda", "sset", "A", "B", "C", "N"])
-    p_show.add_argument("--r", type=int)
-    p_show.add_argument("--m", type=int)
-    p_show.add_argument("--n", type=int)
-    p_show.add_argument("--d", type=int)
-    p_show.add_argument("--full-polys", action="store_true")
+    for flag in ("r", "m", "n"):
+        p_show.add_argument(f"--{flag}", type=int,
+                            help=f"|value| <= {GRID_LIMITS[flag][0]}")
+    p_show.add_argument("--d", type=int, help=f"|value| <= {SHOW_D_LIMIT}")
 
-    p_ver = sub.add_parser("verify", help="run claim sweeps")
+    p_ver = sub.add_parser(
+        "verify", help="run claim sweeps",
+        description="A range with a negative start is attached with '=', "
+                    "as in --r=-6..6.")
     p_ver.add_argument("claim", choices=CLAIMS)
-    p_ver.add_argument("--r", help="integer or inclusive range a..b")
-    p_ver.add_argument("--m", help="integer or inclusive range a..b")
-    p_ver.add_argument("--rho", help="integer or inclusive range a..b")
-    p_ver.add_argument("--n", help="integer or inclusive range a..b")
+    for flag, (limit, most) in GRID_LIMITS.items():
+        p_ver.add_argument(f"--{flag}",
+                           help=f"integer or inclusive range a..b; "
+                                f"|value| <= {limit}, at most {most} values")
     p_ver.add_argument("--d-max", type=int, default=20,
-                       help="bound for per-modulus checks (default 20)")
+                       help=f"bound for per-modulus checks (default 20, "
+                            f"at most {D_MAX_LIMIT})")
     p_ver.add_argument("--format", choices=["text", "json", "csv"],
                        default="text")
     p_ver.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
@@ -425,7 +451,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "show":
-            return cmd_show(args)
+            return cmd_show(args, parser)
         return cmd_verify(args, parser)
     except DomainError as exc:
         parser.exit(2, f"domain error: {exc}\n")

@@ -2,18 +2,18 @@
 Cyclotomic polynomials and the 1 - q^h factorization layer.
 
 Phi_d is built from the Moebius product over the squarefree divisors e of d:
-multiply out every (q^{d/e} - 1) with mu(e) = +1, then exactly divide by the
-ones with mu(e) = -1. Multiplying or dividing by a binomial q^h - 1 is a
-linear pass, so the whole construction is fast enough to tabulate thousands
-of Phi_d. The classical division construction (q^d - 1 over the proper
-lower Phi_e) is kept as phi_by_division; it is slower and exists to
-cross-check the product route.
+multiply out every (1 - q^{d/e}) with mu(e) = +1, then exactly divide by the
+ones with mu(e) = -1. Writing the binomials as 1 - q^h rather than q^h - 1
+changes nothing for d > 1, because the mu(e) sum to 0 over the divisors of
+d; Phi_1 = q - 1 takes one sign flip. Each multiply or divide is a linear
+pass, so the whole construction is fast enough to tabulate thousands of
+Phi_d.
 """
 from __future__ import annotations
 
 import functools
 
-from .bigpoly import IntPoly, LaurentInt
+from .bigpoly import IntPoly, LaurentInt, div_binom, mul_binom
 from .exceptions import DomainError
 
 
@@ -69,30 +69,6 @@ def euler_phi(n):
     return out
 
 
-def _binom_mul(cs, h):
-    """cs times (q^h - 1), as a coefficient list."""
-    out = [-c for c in cs] + [0] * h
-    for i, c in enumerate(cs):
-        out[i + h] += c
-    return out
-
-
-def _binom_div(cs, h):
-    """Exact quotient of cs by (q^h - 1).
-
-    From f = g*(q^h - 1): f_i = g_{i-h} - g_i, so g_i = g_{i-h} - f_i with
-    g vanishing outside 0 <= i < len(f) - h. The top h positions of f are a
-    consistency check on exactness.
-    """
-    n = len(cs) - h
-    g = [0] * n
-    for i in range(n):
-        g[i] = (g[i - h] if i >= h else 0) - cs[i]
-    for i in range(n, len(cs)):
-        assert cs[i] == (g[i - h] if i - h < n else 0), "inexact binomial division"
-    return g
-
-
 @functools.lru_cache(maxsize=None)
 def phi(d):
     """The d-th cyclotomic polynomial as an IntPoly.
@@ -120,28 +96,10 @@ def phi(d):
         (muls if bits % 2 == 0 else divs).append(d // e)
     cs = [1]
     for h in sorted(muls):
-        cs = _binom_mul(cs, h)
+        cs = mul_binom(cs, h)
     for h in sorted(divs, reverse=True):
-        cs = _binom_div(cs, h)
-    return IntPoly(cs)
-
-
-def phi_by_division(d, _memo={}):
-    """Phi_d by dividing q^d - 1 by all lower Phi_e with e | d, e < d.
-
-    Quadratic; retained as an independent construction for cross-checks.
-    """
-    if d < 1:
-        raise DomainError(f"phi({d})")
-    got = _memo.get(d)
-    if got is not None:
-        return got
-    num = IntPoly([-1] + [0] * (d - 1) + [1])
-    for e in divisors(d):
-        if e < d:
-            num = num.div_exact(phi_by_division(e))
-    _memo[d] = num
-    return num
+        cs = div_binom(cs, h)
+    return IntPoly([-c for c in cs] if d == 1 else cs)
 
 
 def phi_at_one(d):

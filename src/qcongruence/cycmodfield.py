@@ -1,19 +1,15 @@
 """
-Arithmetic modulo a single cyclotomic polynomial, and the per-modulus
-congruence checks.
+The per-modulus congruence checks, decided modulo a single cyclotomic
+polynomial Phi_d.
 
-Two layers live here. CycModElt is the straightforward one: an element of
-Q[q]/Phi_d with reduce, field operations, and an extended-Euclid inverse.
-It is the reference semantics and fine for casual use.
-
-The check functions avoid inversion entirely. They work in Z[q]/(q^d - 1),
-where multiplying by 1 - q^x is a rotate-and-subtract and exponents fold
-mod d; congruence mod q^d - 1 implies congruence mod Phi_d, so one integer
+The checks avoid inversion entirely. They work in Z[q]/(q^d - 1), where
+multiplying by 1 - q^x is a rotate-and-subtract and exponents fold mod d;
+congruence mod q^d - 1 implies congruence mod Phi_d, so one integer
 remainder at the end settles each check. A binomial 1 - q^x with d | x and
-x != 0 folds to literal zero, which is exact but useless inside a ratio, so
-FoldedRatio pulls those factors out as (1 - q^d) * (x/d) before folding:
-(1 - q^x)/(1 - q^d) is congruent to x/d mod Phi_d for every nonzero
-multiple x of d, both signs. Ratios are then compared by
+x != 0 folds to literal zero, which is exact but useless inside a ratio,
+so FoldedRatio pulls those factors out as (1 - q^d) * (x/d) before
+folding: (1 - q^x)/(1 - q^d) is congruent to x/d mod Phi_d for every
+nonzero multiple x of d, both signs. Ratios are then compared by
 cross-multiplication, never by division: matching counts of extracted
 (1 - q^d) factors, and cross products congruent mod Phi_d.
 """
@@ -23,115 +19,10 @@ import dataclasses
 import math
 from fractions import Fraction
 
-from .bigpoly import IntPoly, LaurentInt, RatPoly
+from .bigpoly import IntPoly
 from .constructs import lambda_residue
-from .cyclotomic import euler_phi, phi
-from .exceptions import DomainError, NotInvertible
-
-
-# ---------------------------------------------------------------------------
-# reference field arithmetic
-
-
-@dataclasses.dataclass(frozen=True)
-class CycModElt:
-    """An element of Q[q]/Phi_d, stored as its reduced representative."""
-
-    d: int
-    rep: RatPoly
-
-    def __repr__(self):
-        return f"({self.rep!r} mod Phi_{self.d})"
-
-    @property
-    def is_zero(self):
-        return self.rep.is_zero
-
-    def _wrap(self, p):
-        return CycModElt(self.d, p.rem_mod(phi(self.d)))
-
-    def _check(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = reduce_mod(other, self.d)
-        if other.d != self.d:
-            raise DomainError(f"mixed moduli {self.d} and {other.d}")
-        return other
-
-    def __add__(self, other):
-        return self._wrap(self.rep + self._check(other).rep)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycModElt(self.d, -self.rep)
-
-    def __sub__(self, other):
-        return self._wrap(self.rep - self._check(other).rep)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        return self._wrap(self.rep * self._check(other).rep)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inv() ** (-e)
-        out = reduce_mod(1, self.d)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
-
-    def inv(self):
-        """Inverse via the extended Euclidean algorithm.
-
-        Phi_d is irreducible over Q, so exactly the zero class fails.
-        """
-        if self.is_zero:
-            raise NotInvertible(f"0 mod Phi_{self.d}")
-        r0, r1 = phi(self.d).to_rat(), self.rep
-        t0, t1 = RatPoly(), RatPoly(1)
-        while not r1.is_zero:
-            quo, rem = divmod(r0, r1)
-            r0, r1 = r1, rem
-            t0, t1 = t1, t0 - quo * t1
-        if r0.degree > 0:
-            raise NotInvertible(f"gcd with Phi_{self.d} is {r0!r}")
-        return CycModElt(self.d, (t0 * (1 / r0.lead)).rem_mod(phi(self.d)))
-
-
-def reduce_mod(x, d):
-    """Reduce an int, Fraction, IntPoly, RatPoly or LaurentInt mod Phi_d.
-
-    Exponents fold mod d first (q^d is 1 mod Phi_d, so Laurent shifts are
-    harmless), then one remainder by Phi_d.
-
-    >>> reduce_mod(IntPoly(0, 0, 0, 0, 0, 1), 3).rep
-    -q - 1
-    >>> reduce_mod(IntPoly(0, 0, 0, 0, 0, 1), 3) == reduce_mod(IntPoly(0, 0, 1), 3)
-    True
-    >>> reduce_mod(LaurentInt(IntPoly(1), -1), 4).rep
-    -q
-    """
-    if d < 1:
-        raise DomainError(f"modulus index {d}")
-    if isinstance(x, (int, Fraction)):
-        x = RatPoly(x)
-    shift = 0
-    if isinstance(x, LaurentInt):
-        shift, x = x.shift, x.base
-    if isinstance(x, IntPoly):
-        x = x.to_rat()
-    folded = [Fraction(0)] * d
-    for i, c in enumerate(x.coeffs):
-        folded[(i + shift) % d] += c
-    return CycModElt(d, RatPoly(folded).rem_mod(phi(d)))
+from .cyclotomic import phi
+from .exceptions import DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +124,12 @@ def folded_equal(lhs, rhs):
     Returns (ok, detail). Sides with positive net (1 - q^d) count or a zero
     scalar are zero in the field; two nonzero sides must agree in gpow and
     have congruent cross products.
+
+    >>> q = FoldedRatio(5).mul_qpow(1)
+    >>> folded_equal(q, FoldedRatio(5).mul_qpow(6))
+    (True, '')
+    >>> folded_equal(q, FoldedRatio(5))
+    (False, 'cross products differ mod Phi_d')
     """
     if lhs.d != rhs.d:
         raise DomainError("mixed moduli")

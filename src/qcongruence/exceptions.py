@@ -7,7 +7,3 @@ class DomainError(ValueError):
 
 class NotDivisible(ArithmeticError):
     """An exact polynomial division left a nonzero remainder."""
-
-
-class NotInvertible(ArithmeticError):
-    """The element shares a factor with the modulus and has no inverse."""

@@ -22,15 +22,6 @@ from .cyclotomic import divisors, phi, phi_at_one
 from .exceptions import DomainError
 
 
-@dataclasses.dataclass(frozen=True)
-class RatFun:
-    """Expanded form num/den * q^shift with num, den integer polynomials."""
-
-    num: IntPoly
-    den: IntPoly
-    shift: int
-
-
 @dataclasses.dataclass(init=False, frozen=True, eq=True)
 class FactoredQ:
     sign: int
@@ -115,9 +106,6 @@ class FactoredQ:
             {d: x * e for d, x in self.factors},
         )
 
-    def inverse(self):
-        return self ** -1
-
     def value_at_one(self):
         """Evaluate at q = 1 as an exact Fraction.
 
@@ -136,36 +124,22 @@ class FactoredQ:
         return out
 
     def expand(self):
-        """Expand to RatFun, multiplying out the cyclotomic factors.
+        """Expand to a LaurentInt, multiplying out the cyclotomic factors.
 
         The d = 1 factor expands to 1 - q per the module convention.
-        """
-        if self.is_zero:
-            return RatFun(IntPoly(), IntPoly(1), 0)
-        num = IntPoly(self.sign)
-        den = IntPoly(1)
-        for d, e in self.factors:
-            base = IntPoly(1, -1) if d == 1 else phi(d)
-            if e > 0:
-                num = num * base ** e
-            else:
-                den = den * base ** (-e)
-        return RatFun(num, den, self.qexp)
+        Negative exponents raise DomainError.
 
-    def expand_laurent(self):
-        """Expand to a LaurentInt; requires no negative exponents."""
+        >>> pochhammer(-1, 2, 2).expand()
+        -q + 2 - q^-1
+        """
         if not self.is_laurent_poly:
             raise DomainError("negative cyclotomic exponents remain")
-        r = self.expand()
-        return LaurentInt(r.num, r.shift)
-
-
-def mul_factored(a, b):
-    return a * b
-
-
-def pow_factored(a, e):
-    return a ** e
+        if self.is_zero:
+            return LaurentInt(IntPoly(), 0)
+        num = IntPoly(self.sign)
+        for d, e in self.factors:
+            num = num * (IntPoly(1, -1) if d == 1 else phi(d)) ** e
+        return LaurentInt(num, self.qexp)
 
 
 def pochhammer(a, m, k):

@@ -19,8 +19,11 @@ The claims verified here, each as a pure function returning a Verdict:
   verify_value_identity      a_poly(1) * c_poly(1) equals n_alpha
   verify_two_adic_bounds     the 2-adic valuation inequalities behind the
                              central binomial claim
-  verify_sun_conjecture      an open congruence checked empirically; a
-                             failure is data, not a bug
+  verify_sun_conjecture      sum of (5k+1) binom(2k,k)^2 binom(3k,k)
+                             (-192)^{n-1-k} is 0 mod n binom(2n,n), an
+                             open conjecture (Z.-W. Sun, Open conjectures
+                             on congruences, arXiv:0911.5665); a failure
+                             is data, not a bug
 
 The rational congruence semantics: a/b is 0 mod N iff gcd(b, N) = 1 and
 N divides a. RationalModInt carries that meaning.
@@ -41,9 +44,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import types
 from fractions import Fraction
 
-from .bigpoly import IntPoly, LaurentInt
+from .bigpoly import IntPoly, LaurentInt, mul_binom
 from .constructs import (Params, a_poly, b_poly, c_poly, expand_product,
                          n_alpha, negative_tail, s_set)
 from .cyclotomic import phi_at_one
@@ -202,13 +206,13 @@ def verify_central_binomial(rho, n):
 # the q-congruence
 
 
-def _binom_laurent(x):
-    """1 - q^x as a LaurentInt, x != 0."""
-    if x == 0:
-        raise DomainError("1 - q^0 is 0")
+def _times_binom(p, x):
+    """The LaurentInt p times 1 - q^x, x != 0; for x < 0 this is
+    -q^x (1 - q^-x)."""
+    cs = mul_binom(p.base.coeffs, abs(x))
     if x > 0:
-        return LaurentInt(IntPoly([1] + [0] * (x - 1) + [-1]), 0)
-    return LaurentInt(IntPoly([-1] + [0] * (-x - 1) + [1]), x)
+        return LaurentInt(IntPoly(cs), p.shift)
+    return LaurentInt(IntPoly([-c for c in cs]), p.shift + x)
 
 
 def _coprime_split(f, m):
@@ -243,17 +247,13 @@ def _qcong_data(r, m, rho, n):
     P = LaurentInt(IntPoly(1), 0)
     for k in range(n):
         if k:
-            f = _binom_laurent(m * k)
             for _ in range(rho):
-                W = W * f
-            x = r + (k - 1) * m
-            g = _binom_laurent(x)
-            for _ in range(rho):
-                P = P * g
+                W = _times_binom(W, m * k)
+                P = _times_binom(P, r + (k - 1) * m)
         x = 2 * m * k + r
         if x == 0:
             continue
-        L = P * _binom_laurent(x)
+        L = _times_binom(P, x)
         L = L.times_q(-m * k - rho * (k * r + m * (k * (k - 1) // 2)))
         if rho * k % 2:
             L = -L
@@ -261,12 +261,12 @@ def _qcong_data(r, m, rho, n):
 
     denom = pochhammer(1, 1, 1) * pochhammer(m, m, n - 1) ** rho
     v_f, u_f = _coprime_split(denom, m)
-    V = v_f.expand_laurent().base
+    V = v_f.expand().base
     Y = W.base.div_exact(V)          # equals (sum of terms) * U
     g_f = bf_rho * u_f ** -1
     if not g_f.is_laurent_poly:
         raise NotDivisible("denominator exceeds b_poly^rho")
-    G = g_f.expand_laurent().base
+    G = g_f.expand().base
     cleared = LaurentInt(Y * G, W.shift)
 
     ac_f = a_poly(r, m, n) * c_poly(m, n)
@@ -277,7 +277,8 @@ def _qcong_data(r, m, rho, n):
     except NotDivisible:
         H = None
         remainder = cleared.base.rem_monic(AC)
-    return {
+    # Read-only: lru_cache hands this same mapping to every caller.
+    return types.MappingProxyType({
         "cleared": cleared,
         "AC": AC,
         "ac_factored": ac_f,
@@ -285,7 +286,7 @@ def _qcong_data(r, m, rho, n):
         "remainder": remainder,
         "nonintegral_k": nonintegral_k,
         "b_at_one": bf.value_at_one(),
-    }
+    })
 
 
 def verify_q_congruence(r, m, rho, n, full_polys=False):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcongruence.bigpoly import (NEG_INF, IntPoly, LaurentInt, RatPoly,
-                                 _mul_kronecker, _mul_school)
+from qcongruence.bigpoly import (NEG_INF, IntPoly, LaurentInt, _mul_kronecker,
+                                 _mul_school, div_binom, mul_binom)
 from qcongruence.exceptions import NotDivisible
 
 coeff_lists = st.lists(st.integers(-10**6, 10**6), min_size=0, max_size=40)
@@ -38,7 +38,7 @@ def test_ring_ops():
     assert f ** 3 == IntPoly(1, 3, 3, 1)
     assert f ** 0 == IntPoly(1)
     assert (f * g).evaluate(3) == 8
-    assert f.times_q(2) == IntPoly(0, 0, 1, 1)
+    assert LaurentInt(f).times_q(2) == LaurentInt(IntPoly(0, 0, 1, 1))
 
 
 def test_content_and_lead():
@@ -92,34 +92,35 @@ def test_big_operands_cross_multiplier_threshold():
     assert h.evaluate(-1) == f.evaluate(-1) * g.evaluate(-1)
 
 
-def test_ratpoly_divmod_and_monic():
-    f = RatPoly(-1, 0, 0, 1)
-    g = RatPoly(-1, 1)
-    quo, rem = divmod(f, g)
-    assert rem.is_zero
-    assert quo == RatPoly(1, 1, 1)
-    assert RatPoly(2, 2).monic() == RatPoly(1, 1)
-    assert IntPoly(2, 2).to_rat() == RatPoly(2, 2)
+@given(coeff_lists, st.integers(1, 50))
+@settings(max_examples=120, deadline=None)
+def test_binom_kernel_roundtrip(cs, h):
+    prod = mul_binom(cs, h)
+    binom = IntPoly([1] + [0] * (h - 1) + [-1])
+    assert IntPoly(prod) == IntPoly(cs) * binom
+    assert div_binom(prod, h) == cs
 
 
-def test_ratpoly_rem_mod():
-    from fractions import Fraction
-    f = RatPoly(0, 0, 0, 0, 0, 1)          # q^5
-    assert f.rem_mod(RatPoly(1, 1, 1)) == RatPoly(-1, -1)
-    g = RatPoly(Fraction(1, 2), Fraction(1, 3))
-    num, den = g.clear_denominators()
-    assert den == 6
-    assert num == IntPoly(3, 2)
+@given(coeff_lists, st.integers(1, 50), st.data())
+@settings(max_examples=120, deadline=None)
+def test_binom_kernel_rejects_non_multiple(cs, h, data):
+    # q^i is never a multiple of 1 - q^h, so neither is prod + delta*q^i
+    prod = mul_binom(cs, h)
+    i = data.draw(st.integers(0, len(prod) - 1))
+    prod[i] += data.draw(st.integers(-5, 5).filter(bool))
+    with pytest.raises(NotDivisible):
+        div_binom(prod, h)
+    with pytest.raises(NotDivisible):
+        div_binom([1] * h, h)
 
 
 def test_laurent_normalization_and_ops():
     x = LaurentInt(IntPoly(0, 0, 1, 1), -1)  # q + q^2 at shift -1
     assert x.shift == 1
     assert x.base == IntPoly(1, 1)
-    assert x.min_exp == 1 and x.max_exp == 2
     y = LaurentInt(IntPoly(1), -2)
     assert (x * y).shift == -1
-    assert (x + y).evaluate_at_one() == x.evaluate_at_one() + 1
+    assert (x + y).base.evaluate(1) == x.base.evaluate(1) + 1
     assert (x - x).base.is_zero
 
 

@@ -1,6 +1,9 @@
 """Command line: output formats, exit codes, determinism."""
 
+import hashlib
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -43,8 +46,9 @@ def test_show_n(capsys):
 
 
 def test_show_missing_flag_exits_nonzero():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as err:
         run_main(["show", "phi"])
+    assert err.value.code == 2
 
 
 def test_verify_json_schema(capsys):
@@ -162,3 +166,135 @@ def test_console_script_roundtrip():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["counts"] == {"pass": 3, "fail": 0, "skip": 0}
+
+
+# ---------------------------------------------------------------------------
+# worker pool
+
+def test_jobs_clamped_to_cpus_and_tasks(monkeypatch):
+    seen = []
+
+    class FakePool:
+        """Records max_workers and runs the map in this process."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    base = ["verify", "binomsum", "--r", "1", "--m", "2", "--rho", "1",
+            "--no-timestamp"]
+    assert run_main(base + ["--n", "1..3", "--jobs", "64"]) == 0
+    assert run_main(base + ["--n", "1..10", "--jobs", "64"]) == 0
+    assert run_main(base + ["--n", "1..10", "--jobs", "3"]) == 0
+    assert run_main(base + ["--n", "1..10", "--jobs", "1"]) == 0
+    assert seen == [3, 4, 3]
+
+
+def test_fail_fast_in_pool_stops_at_first_failure_in_task_order(
+        monkeypatch, tmp_path):
+    def fake(r, m, rho, n):
+        return Verdict("binomsum", {"r": r, "m": m, "rho": rho, "n": n},
+                       n not in (4, 7), "x", "y", None)
+    # forked workers inherit the patched verifier
+    monkeypatch.setattr(verifier, "verify_binomial_sum", fake)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    spec = ["verify", "binomsum", "--r", "1", "--m", "2", "--rho", "1",
+            "--n", "1..9", "--fail-fast", "--format", "json",
+            "--no-timestamp"]
+    pooled, serial = tmp_path / "pooled.json", tmp_path / "serial.json"
+    assert run_main(spec + ["--jobs", "2", "--out", str(pooled)]) == 1
+    assert run_main(spec + ["--jobs", "1", "--out", str(serial)]) == 1
+    doc = json.loads(pooled.read_text())
+    assert [v["params"]["n"] for v in doc["verdicts"]] == [1, 2, 3, 4]
+    assert doc["stopped_early"]
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# input ceilings
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started for an out-of-bounds input")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "binomsum", "--r", "51", "--m", "2", "--rho", "1", "--n", "1"],
+    ["verify", "binomsum", "--r=-51..1", "--m", "2", "--rho", "1",
+     "--n", "1"],
+    ["verify", "binomsum", "--r", "1..33", "--m", "2", "--rho", "1",
+     "--n", "1"],
+    ["verify", "binomsum", "--r", "1", "--m", "11", "--rho", "1", "--n", "1"],
+    ["verify", "binomsum", "--r", "1", "--m", "2", "--rho", "7", "--n", "1"],
+    ["verify", "binomsum", "--r", "1", "--m", "2", "--rho", "1",
+     "--n", "101"],
+    ["verify", "sun", "--n", "0..100"],
+    ["verify", "lemmas", "--r", "1", "--m", "2", "--rho", "1",
+     "--d-max", "101"],
+    ["show", "phi", "--d", "10001"],
+    ["show", "N", "--r", "1", "--m", "2", "--n", "101"],
+])
+def test_input_above_ceiling_exits_2_before_work(argv, monkeypatch):
+    for name in ("_tasks_for", "_run_all", "phi", "n_alpha"):
+        monkeypatch.setattr(cli, name, _no_work)
+    with pytest.raises(SystemExit) as err:
+        run_main(argv)
+    assert err.value.code == 2
+
+
+def test_ranges_at_the_ceiling_are_accepted():
+    assert cli._parse_range("-50..-19", 50, 32) == list(range(-50, -18))
+    assert len(cli._parse_range("1..100", 100, 100)) == 100
+    with pytest.raises(ValueError):
+        cli._parse_range("0..100", 100, 100)
+
+
+def test_readme_commands_run(monkeypatch, capsys):
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    lines = [shlex.split(ln)[1:] for ln in readme.read_text().splitlines()
+             if ln.startswith("    qcongruence ")]
+    assert any("--r=-6..6" in argv for argv in lines)
+    # parse and bound-check every example, but run no sweep
+    monkeypatch.setattr(cli, "_run_all", lambda tasks, jobs, ff: ([], False))
+    for argv in lines:
+        assert run_main(argv) == 0, argv
+    capsys.readouterr()
+
+
+def test_negative_range_start(capsys):
+    code = run_main(["verify", "binomsum", "--r=-3..3", "--m", "2",
+                     "--rho", "1", "--n", "2", "--format", "json",
+                     "--no-timestamp", "--jobs", "1"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [v["params"]["r"] for v in doc["verdicts"]] == [-3, -1, 1, 3]
+
+
+# ---------------------------------------------------------------------------
+# pinned report bytes
+
+PINNED_SPEC = ["verify", "all", "--r=-3..3", "--m", "2..4", "--rho", "1..3",
+               "--n", "1..8", "--d-max", "12", "--no-timestamp"]
+PINNED_SHA256 = {
+    "text": "039cf5f6a4bfb189213bd4ee7a67ac458a2d486f5e7eb2e731cc477e1f1002af",
+    "json": "5743714dfd2914159ace57af84d1499216c172801774606c21697ea35afa5535",
+    "csv": "52a9c8c12bcb95652d10c428f8eb7f1c78ecdacbe3b0223f00510eabce290c91",
+}
+
+
+@pytest.mark.parametrize("fmt,jobs", [("text", 1), ("json", 1), ("csv", 1),
+                                      ("json", 2)])
+def test_report_bytes_pinned(fmt, jobs, tmp_path):
+    out = tmp_path / f"report.{fmt}"
+    assert run_main(PINNED_SPEC + ["--format", fmt, "--jobs", str(jobs),
+                                   "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SHA256[fmt]

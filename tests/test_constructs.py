@@ -13,7 +13,7 @@ from qcongruence.constructs import (Params, a_poly, b_poly, c_poly,
                                     negative_tail, s_set)
 from qcongruence.cyclotomic import phi
 from qcongruence.exceptions import DomainError
-from qcongruence.qseries import mul_factored, poch_ratio, pochhammer
+from qcongruence.qseries import poch_ratio, pochhammer
 
 coprime_pairs = [(1, 2), (-1, 2), (3, 2), (1, 3), (2, 3), (-5, 3),
                  (1, 4), (3, 4), (5, 6), (-6, 5)]
@@ -141,7 +141,7 @@ def test_structure_of_ratio_times_b():
     # ratio * B = (-1)^cnt q^tot * prod_{d in S} Phi_d, exactly
     for r, m in coprime_pairs:
         for n in range(1, 10):
-            lhs = mul_factored(poch_ratio(r, m, n), b_poly(r, m, n))
+            lhs = poch_ratio(r, m, n) * b_poly(r, m, n)
             cnt, tot = negative_tail(r, m, n)
             want_sign = -1 if cnt % 2 else 1
             assert lhs.sign == want_sign

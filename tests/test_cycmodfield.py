@@ -1,4 +1,4 @@
-"""Arithmetic mod Phi_d and the folded per-modulus congruence checks.
+"""The folded per-modulus congruence checks mod Phi_d.
 
 Positive grids exercise the checks across coprime (r, m, d); the negative
 controls feed deliberately wrong data through the same machinery and must
@@ -9,47 +9,71 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from qcongruence.bigpoly import IntPoly, LaurentInt, RatPoly
-from qcongruence.cycmodfield import (CycModElt, FoldedRatio,
+from qcongruence.cycmodfield import (FoldedRatio, _ratio_into,
                                      check_block_constant,
                                      check_block_decomposition,
                                      check_block_sum, check_mu_consistency,
                                      check_qbinom_reduction,
-                                     check_sign_reduction, folded_equal,
-                                     reduce_mod)
-from qcongruence.exceptions import DomainError, NotInvertible
+                                     check_sign_reduction, folded_equal)
+from qcongruence.exceptions import DomainError
 
 PAIRS = [(1, 2), (-1, 2), (3, 2), (1, 3), (2, 3), (-5, 3), (1, 4), (3, 4)]
 
 
+def _same(lhs, rhs):
+    return folded_equal(lhs, rhs)[0]
+
+
 # ---------------------------------------------------------------------------
-# quotient ring / field
+# exponent folding mod Phi_d
 
-def test_reduce_mod_folds_exponents():
-    assert reduce_mod(IntPoly(0, 0, 0, 0, 0, 1), 3) == \
-        reduce_mod(IntPoly(0, 0, 1), 3)
-    # q^2 is -q - 1 mod Phi_3
-    assert reduce_mod(IntPoly(0, 0, 1), 3).rep == RatPoly(-1, -1)
-    # Laurent input: q^-1 mod Phi_4 is -q
-    assert reduce_mod(LaurentInt(IntPoly(1), -1), 4).rep == RatPoly(0, -1)
-
-
-def test_cycmod_field_ops():
-    x = reduce_mod(IntPoly(1, 1), 5)
-    assert (x * x.inv()).rep == RatPoly(1)
-    assert (x - x).rep == RatPoly()
-    assert (x ** 0).rep == RatPoly(1)
-    assert x ** -2 == (x.inv()) ** 2
-    with pytest.raises(NotInvertible):
-        reduce_mod(IntPoly(), 5).inv()
+def test_folded_ratio_folds_exponents():
+    # q^5 and q^2 agree mod Phi_3
+    assert _same(FoldedRatio(3).mul_qpow(5), FoldedRatio(3).mul_qpow(2))
+    # Laurent exponents fold too: q^-1 is -q mod Phi_4
+    assert _same(FoldedRatio(4).mul_qpow(-1),
+                 FoldedRatio(4).mul_scalar(-1).mul_qpow(1))
 
 
 def test_q_to_the_half_period_is_minus_one():
     for d in (2, 4, 6, 10, 12):
-        q = reduce_mod(IntPoly(0, 1), d)
-        assert (q ** (d // 2)).rep == RatPoly(-1)
-        assert (q ** d).rep == RatPoly(1)
+        assert _same(FoldedRatio(d).mul_qpow(d // 2),
+                     FoldedRatio(d).mul_scalar(-1))
+        assert _same(FoldedRatio(d).mul_qpow(d), FoldedRatio(d))
+
+
+def _sympy_ratio_residues(r, m, d):
+    """ratio_k = (q^r;q^m)_k / (q^m;q^m)_k mod Phi_d for k < d, by sympy:
+    each 1 - q^x folds to 1 - q^(x mod d), and the denominator, a unit
+    because gcd(m, d) = 1, is inverted by sympy.invert."""
+    q = sympy.Symbol("q")
+    mod = sympy.cyclotomic_poly(d, q)
+    num, den, out = sympy.Integer(1), sympy.Integer(1), []
+    for k in range(d):
+        out.append(sympy.rem(num * sympy.invert(den, mod, q), mod, q))
+        num = sympy.rem(num * (1 - q ** ((r + k * m) % d)), mod, q)
+        den = sympy.rem(den * (1 - q ** ((k + 1) * m % d)), mod, q)
+    return out
+
+
+def test_folded_equal_matches_sympy_residues():
+    verdicts = []
+    for r, m in PAIRS:
+        for d in range(2, 10):
+            if math.gcd(d, m) > 1:
+                continue
+            want = _sympy_ratio_residues(r, m, d)
+            for k2 in range(d):
+                for k1 in range(k2):
+                    got = _same(_ratio_into(FoldedRatio(d), r, m, k1),
+                                _ratio_into(FoldedRatio(d), r, m, k2))
+                    assert got == (sympy.expand(want[k1] - want[k2]) == 0), \
+                        (r, m, d, k1, k2)
+                    verdicts.append(got)
+    # both outcomes occur, so neither a constant True nor False passes
+    assert True in verdicts and False in verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +188,6 @@ def test_checks_reject_bad_domain():
 def test_negative_control_distinct_ratio_blocks():
     """Ratio values at indices 2 and 3 differ mod Phi_5; a checker that
     cannot see this difference would pass anything."""
-    from qcongruence.cycmodfield import _ratio_into
     a = FoldedRatio(5)
     _ratio_into(a, 1, 2, 2)
     b = FoldedRatio(5)
@@ -178,7 +201,7 @@ def test_negative_control_wrong_scalar():
     # rational must fail the same comparison
     r, m, d = 1, 2, 5
     lhs = FoldedRatio(d)
-    from qcongruence.cycmodfield import _ratio_into, _scalar_c
+    from qcongruence.cycmodfield import _scalar_c
     _ratio_into(lhs, r, m, d)
     good = FoldedRatio(d)
     good.mul_scalar(_scalar_c(r, m, d, 1))

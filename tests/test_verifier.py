@@ -127,6 +127,14 @@ def test_q_congruence_frozen_polynomials():
         assert data["cleared"].base.evaluate(1) == at1, key
 
 
+def test_q_congruence_cached_result_is_read_only():
+    from qcongruence.verifier import _qcong_data
+    data = _qcong_data(1, 2, 1, 3)
+    with pytest.raises(TypeError):
+        data["cleared"] = None
+    assert _qcong_data(1, 2, 1, 3)["H"] is not None
+
+
 def test_q_congruence_verdict_and_digest():
     v = verify_q_congruence(1, 2, 1, 3)
     assert v.passed
