@@ -21,11 +21,11 @@ q-congruence accumulation are built from it.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
 
 from .exceptions import NotDivisible
+from .record import Record
 
 NEG_INF = float("-inf")
 
@@ -170,16 +170,18 @@ def div_binom(cs, h):
     return g
 
 
-@dataclasses.dataclass(init=False, frozen=True, eq=True)
-class IntPoly:
+class IntPoly(Record):
     """A polynomial in q with integer coefficients."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
     def __init__(self, *coeffs):
         if len(coeffs) == 1 and not isinstance(coeffs[0], int):
             coeffs = tuple(coeffs[0])
         object.__setattr__(self, "coeffs", _trim(coeffs))
+
+    def _key(self):
+        return (self.coeffs,)
 
     def __repr__(self):
         """
@@ -329,8 +331,7 @@ class IntPoly:
         return IntPoly(rem[:dm - 1])
 
 
-@dataclasses.dataclass(init=False, frozen=True, eq=True)
-class LaurentInt:
+class LaurentInt(Record):
     """An integer Laurent polynomial, base * q^shift.
 
     Normalized so the base has a nonzero constant term (or is zero with
@@ -340,8 +341,7 @@ class LaurentInt:
     -q^-1 - q^-2
     """
 
-    base: IntPoly
-    shift: int
+    __slots__ = ("base", "shift")
 
     def __init__(self, base, shift=0):
         if not isinstance(base, IntPoly):
@@ -357,6 +357,9 @@ class LaurentInt:
                 shift += k
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "shift", shift)
+
+    def _key(self):
+        return (self.base, self.shift)
 
     def __repr__(self):
         return _fmt_terms(self.base.coeffs, self.shift)

@@ -27,14 +27,11 @@ completion, and --no-timestamp removes the only wall-clock field.
 from __future__ import annotations
 
 import argparse
-import csv
-import datetime
 import io
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import cycmodfield, verifier
 from .constructs import (a_poly, b_poly, c_poly, expand_product,
@@ -230,6 +227,7 @@ def _run_all(tasks, jobs, fail_fast):
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
         return _collect((_run_task(t) for t in tasks), fail_fast)
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (8 * workers))
         out, stopped = _collect(pool.map(_run_task, tasks, chunksize=chunk),
@@ -283,6 +281,7 @@ def _render_json(spec, verdicts, counts, stopped, timestamp):
 
 
 def _render_csv(spec, verdicts, counts, stopped, timestamp):
+    import csv
     buf = io.StringIO()
     if timestamp:
         buf.write(f"# generated: {timestamp}\n")
@@ -382,6 +381,7 @@ def cmd_verify(args, parser):
     }
     timestamp = None
     if not args.no_timestamp:
+        import datetime
         timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     spec = {
         "command": "verify", "claim": args.claim,

@@ -21,32 +21,35 @@ congruence and its value at 1 equals n_alpha.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 
 from .exceptions import DomainError
 from .qseries import FactoredQ
+from .record import Record
 
 
-@dataclasses.dataclass(frozen=True)
-class Params:
+class Params(Record):
     """A verified parameter tuple for the congruence sweeps."""
 
-    r: int
-    m: int
-    n: int
-    rho: int
+    __slots__ = ("r", "m", "n", "rho")
 
-    def __post_init__(self):
-        if self.m < 2:
-            raise DomainError(f"m = {self.m}; need m >= 2")
-        if math.gcd(self.r, self.m) != 1:
-            raise DomainError(f"gcd({self.r}, {self.m}) > 1")
-        if self.r % self.m == 0:
+    def __init__(self, r, m, n, rho):
+        if m < 2:
+            raise DomainError(f"m = {m}; need m >= 2")
+        if math.gcd(r, m) != 1:
+            raise DomainError(f"gcd({r}, {m}) > 1")
+        if r % m == 0:
             raise DomainError("alpha = r/m must not be an integer")
-        if self.n < 1 or self.rho < 1:
-            raise DomainError(f"n = {self.n}, rho = {self.rho}")
+        if n < 1 or rho < 1:
+            raise DomainError(f"n = {n}, rho = {rho}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rho", rho)
+
+    def _key(self):
+        return (self.r, self.m, self.n, self.rho)
 
     @property
     def alpha(self):

@@ -15,7 +15,6 @@ cross-multiplication, never by division: matching counts of extracted
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -23,6 +22,7 @@ from .bigpoly import IntPoly
 from .constructs import lambda_residue
 from .cyclotomic import phi
 from .exceptions import DomainError
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +159,18 @@ def folded_equal(lhs, rhs):
 # the per-modulus checks
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckOutcome:
-    ok: bool
-    label: str
-    lhs: str
-    rhs: str
-    detail: str = ""
+class CheckOutcome(Record):
+    __slots__ = ("ok", "label", "lhs", "rhs", "detail")
+
+    def __init__(self, ok, label, lhs, rhs, detail=""):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "detail", detail)
+
+    def _key(self):
+        return (self.ok, self.label, self.lhs, self.rhs, self.detail)
 
     def __bool__(self):
         return self.ok

@@ -14,20 +14,16 @@ product to the distinguished Zero value. The representation is canonical
 """
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 from .bigpoly import IntPoly, LaurentInt
 from .cyclotomic import divisors, phi, phi_at_one
 from .exceptions import DomainError
+from .record import Record
 
 
-@dataclasses.dataclass(init=False, frozen=True, eq=True)
-class FactoredQ:
-    sign: int
-    qexp: int
-    factors: tuple
-    is_zero: bool
+class FactoredQ(Record):
+    __slots__ = ("sign", "qexp", "factors", "is_zero")
 
     def __init__(self, sign=1, qexp=0, factors=(), is_zero=False):
         if is_zero:
@@ -45,6 +41,9 @@ class FactoredQ:
         object.__setattr__(self, "qexp", qexp)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "is_zero", is_zero)
+
+    def _key(self):
+        return (self.sign, self.qexp, self.factors, self.is_zero)
 
     @classmethod
     def one(cls):

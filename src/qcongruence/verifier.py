@@ -41,7 +41,6 @@ that each cleared summand is itself an integer Laurent polynomial.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import types
@@ -53,31 +52,41 @@ from .constructs import (Params, a_poly, b_poly, c_poly, expand_product,
 from .cyclotomic import phi_at_one
 from .exceptions import DomainError, NotDivisible
 from .qseries import FactoredQ, poch_ratio, pochhammer
+from .record import Record
 
 
-@dataclasses.dataclass(frozen=True)
-class Verdict:
-    claim: str
-    params: dict
-    passed: bool
-    lhs: str = ""
-    rhs: str = ""
-    witness: dict | None = None
+class Verdict(Record):
+    __slots__ = ("claim", "params", "passed", "lhs", "rhs", "witness")
+
+    def __init__(self, claim, params, passed, lhs="", rhs="", witness=None):
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "witness", witness)
+
+    def _key(self):
+        return (self.claim, self.params, self.passed, self.lhs, self.rhs,
+                self.witness)
 
     def __bool__(self):
         return self.passed
 
 
-@dataclasses.dataclass(frozen=True)
-class RationalModInt:
+class RationalModInt(Record):
     """An exact rational against a positive integer modulus."""
 
-    value: Fraction
-    modulus: int
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise DomainError(f"modulus {self.modulus}")
+    def __init__(self, value, modulus):
+        if modulus < 1:
+            raise DomainError(f"modulus {modulus}")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "modulus", modulus)
+
+    def _key(self):
+        return (self.value, self.modulus)
 
     @property
     def defined(self):
@@ -147,7 +156,7 @@ def _binomial_sum(r, m, rho, n):
 
 
 def verify_binomial_sum(r, m, rho, n):
-    p = Params(r, m, n, rho)
+    Params(r, m, n, rho)
     plain, scaled = _binomial_sum(r, m, rho, n)
     modulus = n_alpha(r, m, n)
     first = RationalModInt(plain, modulus)
@@ -222,7 +231,7 @@ def _coprime_split(f, m):
     return (FactoredQ(f.sign, f.qexp, cop), FactoredQ(1, 0, rest))
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
 def _qcong_data(r, m, rho, n):
     """Everything verify_q_congruence and the q = 1 specialization need."""
     Params(r, m, n, rho)

@@ -1,7 +1,9 @@
 """Command line: output formats, exit codes, determinism."""
 
+import concurrent.futures
 import hashlib
 import json
+import os
 import pathlib
 import shlex
 import subprocess
@@ -168,6 +170,20 @@ def test_console_script_roundtrip():
     assert doc["counts"] == {"pass": 3, "fail": 0, "skip": 0}
 
 
+def test_cli_import_leaves_unused_modules_unloaded():
+    """The pool, csv and datetime load only when used; the value classes
+    need no dataclasses. Checked in a fresh interpreter without site."""
+    lazy = ("dataclasses", "concurrent.futures", "csv", "datetime")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, qcongruence.cli; "
+         f"print([m for m in {lazy!r} if m in sys.modules])"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # worker pool
 
@@ -189,7 +205,8 @@ def test_jobs_clamped_to_cpus_and_tasks(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    # the pooled branch imports the executor from here when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     base = ["verify", "binomsum", "--r", "1", "--m", "2", "--rho", "1",
             "--no-timestamp"]

@@ -1,0 +1,127 @@
+"""Value-class semantics: the seven frozen record classes behave as frozen
+dataclasses with the same fields would, and pickle across a process pool.
+
+The oracle is a frozen dataclass twin of each class, built from its
+__slots__; only the tests import dataclasses.
+"""
+
+import dataclasses
+import itertools
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from qcongruence.bigpoly import IntPoly, LaurentInt
+from qcongruence.constructs import Params
+from qcongruence.cycmodfield import CheckOutcome
+from qcongruence.qseries import FactoredQ
+from qcongruence.verifier import RationalModInt, Verdict
+
+SAMPLES = {
+    IntPoly: [IntPoly(), IntPoly(5), IntPoly(1, 2, 3), IntPoly([1, 2, 3, 0])],
+    LaurentInt: [LaurentInt(IntPoly(1, 1), -3), LaurentInt(IntPoly(0, 1, 1)),
+                 LaurentInt(IntPoly(1, 1), 1), LaurentInt(IntPoly())],
+    FactoredQ: [FactoredQ(-1, -2, {2: -1, 5: 1}), FactoredQ.one(),
+                FactoredQ.zero(), FactoredQ(-1, -2, [(5, 1), (2, -1)])],
+    Params: [Params(1, 2, 3, 2), Params(1, 2, 3, 1), Params(1, 2, 3, 2)],
+    CheckOutcome: [CheckOutcome(True, "x", "1", "1"),
+                   CheckOutcome(True, "x", "1", "1", ""),
+                   CheckOutcome(False, "x", "1", "2", "differ")],
+    Verdict: [Verdict("x", {"n": 1}, True, "l", "r", None),
+              Verdict("x", {"n": 1}, True, "l", "r"),
+              Verdict("x", {}, False, "l", "r", {"w": 1}),
+              Verdict("x", {"n": 1}, False)],
+    RationalModInt: [RationalModInt(Fraction(1, 3), 5),
+                     RationalModInt(Fraction(2, 6), 5),
+                     RationalModInt(Fraction(1, 3), 6)],
+}
+
+CLASSES = list(SAMPLES)
+TWINS = {cls: dataclasses.make_dataclass(cls.__name__, cls.__slots__,
+                                         frozen=True) for cls in CLASSES}
+
+
+def _fields(obj):
+    return tuple(getattr(obj, f) for f in type(obj).__slots__)
+
+
+def _as_twin(obj):
+    return TWINS[type(obj)](*_fields(obj))
+
+
+def _hash_or_error(obj):
+    try:
+        return hash(obj)
+    except TypeError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_pickle_round_trip(cls):
+    for obj in SAMPLES[cls]:
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(obj, proto))
+            assert type(back) is cls
+            assert back == obj
+            assert _fields(back) == _fields(obj)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_assignment_and_deletion_raise(cls):
+    obj = SAMPLES[cls][0]
+    for name in cls.__slots__:
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, before)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) is before
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_equality_and_hash_match_frozen_dataclass(cls):
+    objs = SAMPLES[cls]
+    for a, b in itertools.product(objs, repeat=2):
+        ta, tb = _as_twin(a), _as_twin(b)
+        assert (a == b) == (ta == tb), (a, b)
+        assert (a != b) == (ta != tb), (a, b)
+    for obj in objs:
+        assert _hash_or_error(obj) == _hash_or_error(_as_twin(obj))
+        # no equality across classes, not even with a subclass or the
+        # field tuple
+        sub = type("Sub", (cls,), {"__slots__": ()})
+        assert obj != sub(*obj._key())
+        assert obj != _fields(obj)
+        assert obj != _as_twin(obj)
+    assert any(a == b for a, b in itertools.combinations(objs, 2))
+    assert any(a != b for a, b in itertools.combinations(objs, 2))
+
+
+def test_verdict_with_dict_params_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(Verdict("x", {"n": 1}, True))
+
+
+@pytest.mark.parametrize("cls", [Params, CheckOutcome, Verdict,
+                                 RationalModInt], ids=lambda c: c.__name__)
+def test_repr_matches_frozen_dataclass(cls):
+    for obj in SAMPLES[cls]:
+        assert repr(obj) == repr(_as_twin(obj))
+
+
+def test_truth_of_verdict_and_check_outcome():
+    assert Verdict("x", {}, True)
+    assert not Verdict("x", {}, False, "l", "r", {"w": 1})
+    assert CheckOutcome(True, "x", "1", "1")
+    assert not CheckOutcome(False, "x", "1", "2")
+
+
+@pytest.mark.parametrize("cls", [Verdict, CheckOutcome],
+                         ids=lambda c: c.__name__)
+def test_results_are_not_tuples(cls):
+    # benchmark and report code treat any tuple as a raw record
+    assert not issubclass(cls, tuple)
+    assert not isinstance(SAMPLES[cls][0], tuple)
