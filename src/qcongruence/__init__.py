@@ -14,8 +14,9 @@ The package is organized bottom-up:
 """
 
 from .bigpoly import IntPoly, LaurentInt
-from .constructs import (Params, a_poly, b_poly, c_poly, expand_product,
-                         lambda_residue, n_alpha, negative_tail, s_set)
+from .constructs import (a_poly, b_poly, c_poly, expand_product,
+                         lambda_residue, n_alpha, negative_tail, pair_ok,
+                         s_set)
 from .cyclotomic import divisors, euler_phi, phi, phi_at_one, q_int
 from .cycmodfield import (FoldedRatio, check_block_constant,
                           check_block_decomposition, check_block_sum,
@@ -33,8 +34,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IntPoly", "LaurentInt",
-    "Params", "a_poly", "b_poly", "c_poly", "expand_product",
-    "lambda_residue", "n_alpha", "negative_tail", "s_set",
+    "a_poly", "b_poly", "c_poly", "expand_product",
+    "lambda_residue", "n_alpha", "negative_tail", "pair_ok", "s_set",
     "divisors", "euler_phi", "phi", "phi_at_one", "q_int",
     "FoldedRatio", "check_block_constant",
     "check_block_decomposition", "check_block_sum", "check_mu_consistency",

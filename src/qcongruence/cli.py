@@ -15,10 +15,10 @@ Grid flags --r --m --rho --n take a single integer or an inclusive range
 `a..b`; a range with a negative start is attached with `=`, as in
 `--r=-6..6`. Each flag, --d-max and `show --d` have ceilings (GRID_LIMITS,
 D_MAX_LIMIT, SHOW_D_LIMIT); a value above one exits with code 2 before any
-work starts. Instances whose (r, m) is not coprime, or whose parameters fall
-outside a claim's domain (for example alpha = r/m integral), are skipped
-and counted, never errored. Exit codes: 0 all pass, 1 a proven claim
-failed, 2 usage error, 3 conjecture counterexample.
+work starts. Instances outside a claim's domain (verifier.DOMAINS; for
+`lemmas`, a pair outside constructs.pair_ok) are skipped and counted, never
+errored. Exit codes: 0 all pass, 1 a proven claim failed, 2 usage error,
+3 conjecture counterexample.
 
 Reports are deterministic for a fixed spec: iteration is in sorted
 parameter order, results are emitted in task order regardless of worker
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import math
 import os
@@ -35,25 +36,19 @@ import sys
 
 from . import cycmodfield, verifier
 from .constructs import (a_poly, b_poly, c_poly, expand_product,
-                         lambda_residue, n_alpha, s_set)
+                         lambda_residue, n_alpha, pair_ok, s_set)
 from .cyclotomic import phi, phi_at_one
 from .exceptions import DomainError
 from .verifier import Verdict
 
-CLAIMS = ("binomsum", "central", "qcong", "lemmas", "identities",
-          "2adic", "sun", "all")
 PROVEN = ("binomsum", "central", "qcong", "lemmas", "identities", "2adic")
+CLAIMS = (*PROVEN, "sun", "all")
 
-_NEEDS = {
-    "binomsum": ("r", "m", "rho", "n"),
-    "central": ("rho", "n"),
-    "qcong": ("r", "m", "rho", "n"),
-    "lemmas": ("r", "m", "rho"),
-    "identities": ("r", "m", "n"),
-    "2adic": ("rho", "n"),
-    "sun": ("n",),
-    "all": ("r", "m", "rho", "n"),
-}
+# claim -> the grid flags it needs (per-instance claims: in argument order)
+_NEEDS = {"binomsum": ("r", "m", "rho", "n"), "central": ("rho", "n"),
+          "qcong": ("r", "m", "rho", "n"), "lemmas": ("r", "m", "rho"),
+          "identities": ("r", "m", "n"), "2adic": ("rho", "n"),
+          "sun": ("n",), "all": ("r", "m", "rho", "n")}
 
 _PARAM_ORDER = ("r", "m", "rho", "n", "d", "s", "t", "h")
 
@@ -82,133 +77,81 @@ def _parse_range(text, limit, most):
     return list(range(lo, hi + 1))
 
 
-def _params_ok(r, m):
-    return m >= 2 and math.gcd(r, m) == 1 and r % m != 0
-
-
 # ---------------------------------------------------------------------------
 # task construction and execution
 
+# task kinds an instance runs, where they differ from its claim's name
+_KINDS = {"identities": ("structure", "value_at_one")}
+
+# task kind -> the verifier functions it runs, in report order, each with
+# how many of the task's arguments it takes (a qcong task ends in
+# full_polys, which only verify_q_congruence reads)
+_VERIFIERS = {
+    "binomsum": (("verify_binomial_sum", 4),),
+    "central": (("verify_central_binomial", 2),),
+    "qcong": (("verify_q_congruence", 5),
+              ("verify_specialization_at_one", 4)),
+    "structure": (("verify_structure_identity", 3),),
+    "value_at_one": (("verify_value_identity", 3),),
+    "2adic": (("verify_two_adic_bounds", 2),),
+    "sun": (("verify_sun_conjecture", 1),),
+}
+
+# any other task kind runs cycmodfield.check_<kind>, with these parameters
+_CHECK_PARAMS = {
+    "block_constant": ("r", "m", "d"), "block_sum": ("r", "m", "rho", "d"),
+    "block_decomposition": ("r", "m", "d", "s", "t"),
+    "mu_consistency": ("r", "m", "rho", "d", "s", "t"),
+    "sign_reduction": ("m", "d", "s", "h")}
+
+
 def _tasks_for(claim, grid, d_max, full_polys=False):
     """Expand one claim over the grid into (kind, args) tasks plus a skip
-    count. Deterministic: nested sorted loops, no sets."""
+    count: one per instance outside the claim's domain, or for `lemmas`
+    one per (r, m) pair outside pair_ok. Deterministic: sorted parameter
+    order, no sets."""
     tasks = []
     skipped = 0
-    rs = grid.get("r", [None])
-    ms = grid.get("m", [None])
-    rhos = grid.get("rho", [None])
-    ns = grid.get("n", [None])
-
-    if claim in ("binomsum", "qcong"):
-        for r in rs:
-            for m in ms:
-                if not _params_ok(r, m):
-                    skipped += len(rhos) * len(ns)
-                    continue
-                for rho in rhos:
-                    for n in ns:
-                        if rho < 1 or n < 1:
-                            skipped += 1
-                        elif claim == "qcong":
-                            tasks.append((claim, (r, m, rho, n, full_polys)))
-                        else:
-                            tasks.append((claim, (r, m, rho, n)))
-    elif claim in ("central", "2adic"):
-        for rho in rhos:
-            for n in ns:
-                bad = n < 2 or (claim == "central" and rho < 2) or rho < 1
-                if bad:
-                    skipped += 1
-                else:
-                    tasks.append((claim, (rho, n)))
-    elif claim == "identities":
-        for r in rs:
-            for m in ms:
-                if not _params_ok(r, m):
-                    skipped += len(ns)
-                    continue
-                for n in ns:
-                    if n < 1:
-                        skipped += 1
-                    else:
-                        tasks.append(("structure", (r, m, n)))
-                        tasks.append(("value_at_one", (r, m, n)))
-    elif claim == "lemmas":
-        for r in rs:
-            for m in ms:
-                if not _params_ok(r, m):
-                    skipped += 1
-                    continue
-                for d in range(2, d_max + 1):
-                    if math.gcd(d, m) != 1:
-                        continue
-                    tasks.append(("block_constant", (r, m, d)))
-                    for rho in rhos:
-                        if rho >= 1:
-                            tasks.append(("block_sum", (r, m, rho, d)))
-                    for s in (1, 2):
-                        for t in range(0, min(3, d)):
-                            tasks.append(("block_decomposition",
-                                          (r, m, d, s, t)))
-                    for rho in rhos:
-                        if rho >= 1:
-                            tasks.append(("mu_consistency",
-                                          (r, m, rho, d, 1, 0)))
-        for m in ms:
-            if m < 2:
-                continue
-            for d in range(2, d_max + 1):
-                if math.gcd(d, m) != 1:
-                    continue
-                for s in (1, 2):
-                    tasks.append(("sign_reduction", (m, d, s, 1)))
-    elif claim == "sun":
-        for n in ns:
-            if n < 2:
-                skipped += 1
+    if claim != "lemmas":
+        extra = (full_polys,) if claim == "qcong" else ()
+        for params in itertools.product(*(grid[f] for f in _NEEDS[claim])):
+            if verifier.in_domain(claim, *params):
+                tasks += [(kind, params + extra)
+                          for kind in _KINDS.get(claim, (claim,))]
             else:
-                tasks.append(("sun", (n,)))
-    else:
-        raise ValueError(claim)
+                skipped += 1
+        return tasks, skipped
+    rhos = [rho for rho in grid["rho"] if rho >= 1]
+    for r, m in itertools.product(grid["r"], grid["m"]):
+        if not pair_ok(r, m):
+            skipped += 1
+            continue
+        for d in range(2, d_max + 1):
+            if math.gcd(d, m) == 1:
+                tasks.append(("block_constant", (r, m, d)))
+                tasks += [("block_sum", (r, m, rho, d)) for rho in rhos]
+                tasks += [("block_decomposition", (r, m, d, s, t))
+                          for s in (1, 2) for t in range(min(3, d))]
+                tasks += [("mu_consistency", (r, m, rho, d, 1, 0))
+                          for rho in rhos]
+    tasks += [("sign_reduction", (m, d, s, 1))
+              for m in grid["m"] if m >= 2
+              for d in range(2, d_max + 1) if math.gcd(d, m) == 1
+              for s in (1, 2)]
     return tasks, skipped
-
-
-def _check_to_verdict(kind, args, outcome):
-    names = {
-        "block_constant": ("r", "m", "d"),
-        "block_sum": ("r", "m", "rho", "d"),
-        "block_decomposition": ("r", "m", "d", "s", "t"),
-        "mu_consistency": ("r", "m", "rho", "d", "s", "t"),
-        "sign_reduction": ("m", "d", "s", "h"),
-    }[kind]
-    params = dict(zip(names, args))
-    witness = None if outcome.ok else {"detail": outcome.detail}
-    return Verdict(kind, params, outcome.ok, outcome.lhs, outcome.rhs,
-                   witness)
 
 
 def _run_task(task):
     """One task to a list of Verdicts. Top level so process pools can
-    pickle it."""
+    pickle it; functions are looked up per call, so patched ones run."""
     kind, args = task
-    if kind == "binomsum":
-        return [verifier.verify_binomial_sum(*args)]
-    if kind == "central":
-        return [verifier.verify_central_binomial(*args)]
-    if kind == "qcong":
-        r, m, rho, n, full_polys = args
-        return [verifier.verify_q_congruence(r, m, rho, n, full_polys),
-                verifier.verify_specialization_at_one(r, m, rho, n)]
-    if kind == "structure":
-        return [verifier.verify_structure_identity(*args)]
-    if kind == "value_at_one":
-        return [verifier.verify_value_identity(*args)]
-    if kind == "2adic":
-        return [verifier.verify_two_adic_bounds(*args)]
-    if kind == "sun":
-        return [verifier.verify_sun_conjecture(*args)]
-    check = getattr(cycmodfield, f"check_{kind}")
-    return [_check_to_verdict(kind, args, check(*args))]
+    if kind in _VERIFIERS:
+        return [getattr(verifier, name)(*args[:count])
+                for name, count in _VERIFIERS[kind]]
+    outcome = getattr(cycmodfield, f"check_{kind}")(*args)
+    return [Verdict(kind, dict(zip(_CHECK_PARAMS[kind], args)),
+                    outcome.ok, outcome.lhs, outcome.rhs,
+                    None if outcome.ok else {"detail": outcome.detail})]
 
 
 def _collect(batches, fail_fast):

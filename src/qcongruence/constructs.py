@@ -4,6 +4,10 @@ The named polynomials and integers attached to a parameter triple.
 Throughout, r and m are coprime integers with m >= 1, so alpha = r/m is a
 rational number, and n >= 1 is a length. The objects built here:
 
+  pair_ok(r, m)             the hypothesis of every alpha = r/m claim:
+                            m >= 2 and gcd(r, m) = 1
+  summand_twist(r, m, rho, k)  the sign and q-power of summand k of the
+                            weighted q-binomial sum
   lambda_residue(r, m, d)   the residue of -r/m mod d, for gcd(d, m) = 1
   s_set(r, m, n)            indices d whose lambda residue is hit by the
                             numerator exponents r, r+m, ..., r+(n-1)m but
@@ -26,34 +30,27 @@ from fractions import Fraction
 
 from .exceptions import DomainError
 from .qseries import FactoredQ
-from .record import Record
 
 
-class Params(Record):
-    """A verified parameter tuple for the congruence sweeps."""
+def pair_ok(r, m):
+    """The hypothesis every alpha = r/m claim shares: m >= 2 and
+    gcd(r, m) = 1, which also makes alpha non-integral.
 
-    __slots__ = ("r", "m", "n", "rho")
+    >>> pair_ok(1, 2), pair_ok(2, 4), pair_ok(0, 1), pair_ok(3, 1)
+    (True, False, False, False)
+    """
+    return m >= 2 and math.gcd(r, m) == 1
 
-    def __init__(self, r, m, n, rho):
-        if m < 2:
-            raise DomainError(f"m = {m}; need m >= 2")
-        if math.gcd(r, m) != 1:
-            raise DomainError(f"gcd({r}, {m}) > 1")
-        if r % m == 0:
-            raise DomainError("alpha = r/m must not be an integer")
-        if n < 1 or rho < 1:
-            raise DomainError(f"n = {n}, rho = {rho}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rho", rho)
 
-    def _key(self):
-        return (self.r, self.m, self.n, self.rho)
+def summand_twist(r, m, rho, k):
+    """(sign, e): summand k of the weighted q-binomial sum carries
+    (-1)^{rho*k} q^e with e = -m*k - rho*(k*r + m*binom(k, 2)).
 
-    @property
-    def alpha(self):
-        return Fraction(self.r, self.m)
+    >>> summand_twist(1, 2, 1, 2)
+    (1, -8)
+    """
+    sign = -1 if rho * k % 2 else 1
+    return sign, -m * k - rho * (k * r + m * (k * (k - 1) // 2))
 
 
 def lambda_residue(r, m, d):

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .bigpoly import IntPoly
-from .constructs import lambda_residue
+from .constructs import lambda_residue, pair_ok, summand_twist
 from .cyclotomic import phi
 from .exceptions import DomainError
 from .record import Record
@@ -176,13 +176,12 @@ class CheckOutcome(Record):
         return self.ok
 
 
-def _require_coprime(r, m, d):
-    if d < 2:
-        raise DomainError(f"modulus index {d}")
-    if math.gcd(d, m) != 1:
-        raise DomainError(f"gcd({d}, {m}) > 1")
-    if math.gcd(r, m) != 1:
-        raise DomainError(f"gcd({r}, {m}) > 1")
+def _require_coprime(r, m, d, *bounds):
+    """DomainError unless pair_ok(r, m), d >= 2, gcd(d, m) = 1 and every
+    one of the check's own bounds holds."""
+    if not (pair_ok(r, m) and d >= 2 and math.gcd(d, m) == 1 and all(bounds)):
+        raise DomainError(f"need m >= 2, d >= 2, gcd(r, m) = gcd(d, m) = 1 "
+                          f"and the check's bounds; got r={r}, m={m}, d={d}")
 
 
 def _scalar_c(r, m, d, s):
@@ -228,9 +227,7 @@ def check_block_decomposition(r, m, d, s, t):
     """ratio_{s*d+t} is congruent to c_s * ratio_t mod Phi_d, where ratio_k
     is the Pochhammer quotient (q^r;q^m)_k/(q^m;q^m)_k and c_s the block
     scalar."""
-    _require_coprime(r, m, d)
-    if s < 0 or not 0 <= t < d:
-        raise DomainError(f"block position s={s}, t={t}")
+    _require_coprime(r, m, d, s >= 0, 0 <= t < d)
     lhs = _ratio_into(FoldedRatio(d), r, m, s * d + t)
     rhs = _ratio_into(FoldedRatio(d).mul_scalar(_scalar_c(r, m, d, s)),
                       r, m, t)
@@ -274,9 +271,7 @@ def check_block_sum(r, m, rho, d):
     Gaussian binomial is verified alongside, since the vanishing of the sum
     rests on it.
     """
-    _require_coprime(r, m, d)
-    if rho < 1:
-        raise DomainError(f"rho = {rho}")
+    _require_coprime(r, m, d, rho >= 1)
     red = check_qbinom_reduction(r, m, d)
     if not red.ok:
         return red
@@ -296,9 +291,8 @@ def check_block_sum(r, m, rho, d):
         if x % d == 0:
             continue
         term = _fold_mul_binom(pk, d, x)
-        e = (-m * k - rho * (k * r + m * (k * (k - 1) // 2))) % d
-        sgn = -1 if rho * k % 2 else 1
-        term = _rotate(term, d, e)
+        sgn, e = summand_twist(r, m, rho, k)
+        term = _rotate(term, d, e % d)
         for i in range(d):
             su[i] += sgn * term[i]
     rem = _rem_phi(su, d)
@@ -330,14 +324,13 @@ def check_mu_consistency(r, m, rho, d, s, t):
     mu_s depends on d through the block scalar c_s; there is no single
     global mu_s. The common factor 1/(1-q) is dropped from both sides.
     """
-    _require_coprime(r, m, d)
-    if rho < 1 or s < 0 or not 0 <= t < d:
-        raise DomainError(f"mu_consistency(rho={rho},s={s},t={t})")
+    _require_coprime(r, m, d, rho >= 1, s >= 0, 0 <= t < d)
 
     def nu(k, extra_scalar):
+        sign, e = summand_twist(r, m, rho, k)
         f = FoldedRatio(d)
-        f.mul_scalar(extra_scalar * (-1) ** (rho * k))
-        f.mul_qpow(-m * k - rho * (k * r + m * (k * (k - 1) // 2)))
+        f.mul_scalar(extra_scalar * sign)
+        f.mul_qpow(e)
         f.mul_binom(2 * m * k + r)
         return _ratio_into(f, r, m, k, rho - 1)
 

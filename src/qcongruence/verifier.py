@@ -47,12 +47,38 @@ import types
 from fractions import Fraction
 
 from .bigpoly import IntPoly, LaurentInt, mul_binom
-from .constructs import (Params, a_poly, b_poly, c_poly, expand_product,
-                         n_alpha, negative_tail, s_set)
+from .constructs import (a_poly, b_poly, c_poly, expand_product, n_alpha,
+                         negative_tail, pair_ok, s_set, summand_twist)
 from .cyclotomic import phi_at_one
 from .exceptions import DomainError, NotDivisible
 from .qseries import FactoredQ, poch_ratio, pochhammer
 from .record import Record
+
+
+# claim -> (predicate on its parameters, the same rule in words). Each
+# verify_* raises DomainError outside its claim's entry; `qcongruence verify`
+# skips and counts those instances.
+DOMAINS = {
+    "binomsum": (lambda r, m, rho, n: pair_ok(r, m) and rho >= 1 and n >= 1,
+                 "m >= 2, gcd(r, m) = 1, rho >= 1, n >= 1"),
+    "central": (lambda rho, n: rho >= 2 and n >= 2, "rho >= 2, n >= 2"),
+    "2adic": (lambda rho, n: rho >= 1 and n >= 2, "rho >= 1, n >= 2"),
+    "identities": (lambda r, m, n: pair_ok(r, m) and n >= 1,
+                   "m >= 2, gcd(r, m) = 1, n >= 1"),
+    "sun": (lambda n: n >= 2, "n >= 2"),
+}
+DOMAINS["qcong"] = DOMAINS["binomsum"]
+
+
+def in_domain(claim, *params):
+    """Whether params, in the claim's argument order, lie in its domain."""
+    return DOMAINS[claim][0](*params)
+
+
+def _require(claim, *params):
+    if not in_domain(claim, *params):
+        raise DomainError(f"{claim} needs {DOMAINS[claim][1]}; "
+                          f"got {params}")
 
 
 class Verdict(Record):
@@ -156,7 +182,7 @@ def _binomial_sum(r, m, rho, n):
 
 
 def verify_binomial_sum(r, m, rho, n):
-    Params(r, m, n, rho)
+    _require("binomsum", r, m, rho, n)
     plain, scaled = _binomial_sum(r, m, rho, n)
     modulus = n_alpha(r, m, n)
     first = RationalModInt(plain, modulus)
@@ -184,8 +210,7 @@ def _central_sum(rho, n):
 
 
 def verify_central_binomial(rho, n):
-    if rho < 2 or n < 2:
-        raise DomainError(f"central binomial claim needs rho >= 2, n >= 2")
+    _require("central", rho, n)
     total = _central_sum(rho, n)
     modulus = 2 ** (rho - 2) * n * math.comb(2 * n, n)
     ok = total % modulus == 0
@@ -234,7 +259,6 @@ def _coprime_split(f, m):
 @functools.lru_cache(maxsize=1)
 def _qcong_data(r, m, rho, n):
     """Everything verify_q_congruence and the q = 1 specialization need."""
-    Params(r, m, n, rho)
 
     # Per-term factored integrality: b_poly^rho clears every summand.
     bf = b_poly(r, m, n)
@@ -262,9 +286,9 @@ def _qcong_data(r, m, rho, n):
         x = 2 * m * k + r
         if x == 0:
             continue
-        L = _times_binom(P, x)
-        L = L.times_q(-m * k - rho * (k * r + m * (k * (k - 1) // 2)))
-        if rho * k % 2:
+        sign, e = summand_twist(r, m, rho, k)
+        L = _times_binom(P, x).times_q(e)
+        if sign < 0:
             L = -L
         W = W + L
 
@@ -299,6 +323,7 @@ def _qcong_data(r, m, rho, n):
 
 
 def verify_q_congruence(r, m, rho, n, full_polys=False):
+    _require("qcong", r, m, rho, n)
     data = _qcong_data(r, m, rho, n)
     params = {"r": r, "m": m, "rho": rho, "n": n}
     ok = data["H"] is not None and data["nonintegral_k"] is None
@@ -320,6 +345,7 @@ def verify_q_congruence(r, m, rho, n, full_polys=False):
 
 
 def verify_specialization_at_one(r, m, rho, n):
+    _require("qcong", r, m, rho, n)
     data = _qcong_data(r, m, rho, n)
     params = {"r": r, "m": m, "rho": rho, "n": n}
     plain, scaled = _binomial_sum(r, m, rho, n)
@@ -364,8 +390,7 @@ def verify_specialization_at_one(r, m, rho, n):
 def verify_structure_identity(r, m, n):
     """poch_ratio(r,m,n) * b_poly(r,m,n) equals the signed q-power times
     the squarefree product over s_set, as exact factored objects."""
-    if math.gcd(r, m) != 1 or n < 1 or m < 1:
-        raise DomainError(f"structure identity at ({r}, {m}, {n})")
+    _require("identities", r, m, n)
     lhs = poch_ratio(r, m, n) * b_poly(r, m, n)
     delta, big_delta = negative_tail(r, m, n)
     rhs = FactoredQ(-1 if delta % 2 else 1, big_delta,
@@ -379,6 +404,7 @@ def verify_structure_identity(r, m, n):
 def verify_value_identity(r, m, n):
     """a_poly(1) * c_poly(1) = n_alpha, evaluated through the factored
     forms (no expansion)."""
+    _require("identities", r, m, n)
     val = (a_poly(r, m, n) * c_poly(m, n)).value_at_one()
     target = n_alpha(r, m, n)
     ok = val == target
@@ -392,8 +418,7 @@ def verify_value_identity(r, m, n):
 
 
 def verify_two_adic_bounds(rho, n):
-    if n < 2:
-        raise DomainError("2-adic bounds need n >= 2")
+    _require("2adic", rho, n)
     bad = None
     target = _ord2(n * math.comb(2 * n, n))
     c = 1
@@ -417,8 +442,7 @@ def verify_two_adic_bounds(rho, n):
 
 
 def verify_sun_conjecture(n):
-    if n < 2:
-        raise DomainError("conjecture sweep needs n >= 2")
+    _require("sun", n)
     total = 0
     c = 1  # binom(2k,k)
     t = 1  # binom(3k,k)

@@ -315,3 +315,23 @@ def test_report_bytes_pinned(fmt, jobs, tmp_path):
     assert run_main(PINNED_SPEC + ["--format", fmt, "--jobs", str(jobs),
                                    "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SHA256[fmt]
+
+
+# The grid straddles every domain boundary: m = 1, non-coprime pairs,
+# rho <= 0, n = 0 and n = 1. Hash and counts were taken before the domains
+# moved into the library, so skips stay counted as they were.
+BOUNDARY_SPEC = ["verify", "all", "--r=-2..2", "--m", "1..4", "--rho=-1..2",
+                 "--n", "0..4", "--d-max", "9", "--no-timestamp",
+                 "--format", "json"]
+BOUNDARY_SHA256 = (
+    "35476bda9c8918128255d6574307a0e6baf8d8d6ef3b15d156d1697a312cdc7e")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_skips_at_the_domain_boundary_pinned(jobs, tmp_path):
+    out = tmp_path / "report.json"
+    assert run_main(BOUNDARY_SPEC + ["--jobs", str(jobs),
+                                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_SHA256
+    assert json.loads(out.read_text())["counts"] == {
+        "pass": 679, "fail": 0, "skip": 783}

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcongruence.bigpoly import IntPoly
-from qcongruence.constructs import (Params, a_poly, b_poly, c_poly,
-                                    expand_product, lambda_residue, n_alpha,
-                                    negative_tail, s_set)
+from qcongruence.constructs import (a_poly, b_poly, c_poly, expand_product,
+                                    lambda_residue, n_alpha, negative_tail,
+                                    pair_ok, s_set)
 from qcongruence.cyclotomic import phi
 from qcongruence.exceptions import DomainError
 from qcongruence.qseries import poch_ratio, pochhammer
@@ -19,13 +19,11 @@ coprime_pairs = [(1, 2), (-1, 2), (3, 2), (1, 3), (2, 3), (-5, 3),
                  (1, 4), (3, 4), (5, 6), (-6, 5)]
 
 
-def test_params_validation():
-    p = Params(1, 2, 3, 2)
-    assert p.alpha == Fraction(1, 2)
-    for bad in [(2, 2, 1, 1), (4, 2, 1, 1), (1, 1, 1, 1),
-                (1, 2, 0, 1), (1, 2, 1, 0)]:
-        with pytest.raises(DomainError):
-            Params(*bad)
+def test_pair_ok():
+    assert all(pair_ok(r, m) for r, m in coprime_pairs)
+    # not coprime, alpha integral, m < 2
+    for bad in [(2, 2), (4, 2), (0, 2), (1, 1), (0, 1), (1, 0), (1, -2)]:
+        assert not pair_ok(*bad)
 
 
 def test_lambda_residue():

@@ -1,4 +1,4 @@
-"""Value-class semantics: the seven frozen record classes behave as frozen
+"""Value-class semantics: the six frozen record classes behave as frozen
 dataclasses with the same fields would, and pickle across a process pool.
 
 The oracle is a frozen dataclass twin of each class, built from its
@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from qcongruence.bigpoly import IntPoly, LaurentInt
-from qcongruence.constructs import Params
 from qcongruence.cycmodfield import CheckOutcome
 from qcongruence.qseries import FactoredQ
 from qcongruence.verifier import RationalModInt, Verdict
@@ -24,7 +23,6 @@ SAMPLES = {
                  LaurentInt(IntPoly(1, 1), 1), LaurentInt(IntPoly())],
     FactoredQ: [FactoredQ(-1, -2, {2: -1, 5: 1}), FactoredQ.one(),
                 FactoredQ.zero(), FactoredQ(-1, -2, [(5, 1), (2, -1)])],
-    Params: [Params(1, 2, 3, 2), Params(1, 2, 3, 1), Params(1, 2, 3, 2)],
     CheckOutcome: [CheckOutcome(True, "x", "1", "1"),
                    CheckOutcome(True, "x", "1", "1", ""),
                    CheckOutcome(False, "x", "1", "2", "differ")],
@@ -105,8 +103,8 @@ def test_verdict_with_dict_params_is_unhashable():
         hash(Verdict("x", {"n": 1}, True))
 
 
-@pytest.mark.parametrize("cls", [Params, CheckOutcome, Verdict,
-                                 RationalModInt], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", [CheckOutcome, Verdict, RationalModInt],
+                         ids=lambda c: c.__name__)
 def test_repr_matches_frozen_dataclass(cls):
     for obj in SAMPLES[cls]:
         assert repr(obj) == repr(_as_twin(obj))
