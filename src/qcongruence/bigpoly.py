@@ -17,7 +17,7 @@ separately so the slot digits stay nonnegative. Everything is exact.
 
 Multiplying or exactly dividing a coefficient list by a binomial 1 - q^h
 is a linear pass (mul_binom, div_binom); the cyclotomic table and the
-q-congruence accumulation are built from it.
+q-congruence's cleared sum are built from it.
 """
 from __future__ import annotations
 
@@ -399,12 +399,6 @@ class LaurentInt(Record):
         return LaurentInt(self.base * other.base, self.shift + other.shift)
 
     __rmul__ = __mul__
-
-    def times_q(self, k):
-        """Multiply by q^k; k may be negative."""
-        if self.is_zero:
-            return self
-        return LaurentInt(self.base, self.shift + k)
 
 
 def _as_laurent(p):

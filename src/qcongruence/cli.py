@@ -17,8 +17,9 @@ Grid flags --r --m --rho --n take a single integer or an inclusive range
 D_MAX_LIMIT, SHOW_D_LIMIT); a value above one exits with code 2 before any
 work starts. Instances outside a claim's domain (verifier.DOMAINS; for
 `lemmas`, a pair outside constructs.pair_ok) are skipped and counted, never
-errored. Exit codes: 0 all pass, 1 a proven claim failed, 2 usage error,
-3 conjecture counterexample.
+errored; `show` refuses a pair outside pair_ok as a usage error. Exit codes:
+0 all pass, 1 a proven claim failed, 2 usage error, 3 conjecture
+counterexample.
 
 Reports are deterministic for a fixed spec: iteration is in sorted
 parameter order, results are emitted in task order regardless of worker
@@ -267,6 +268,8 @@ def cmd_show(args, parser):
         value = getattr(args, flag)
         if value is not None and abs(value) > limit:
             parser.error(f"--{flag} {value} exceeds |value| <= {limit}")
+    if "r" in need and "m" in need and not pair_ok(args.r, args.m):
+        parser.error(f"show {obj} needs m >= 2 and gcd(r, m) = 1")
     out = []
     if obj == "phi":
         d = args.d

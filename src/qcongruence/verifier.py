@@ -28,16 +28,11 @@ The claims verified here, each as a pure function returning a Verdict:
 The rational congruence semantics: a/b is 0 mod N iff gcd(b, N) = 1 and
 N divides a. RationalModInt carries that meaning.
 
-The q-congruence path never expands term by term. The sum is accumulated
-over the common denominator (1-q)(q^m;q^m)_{n-1}^rho as one Laurent
-polynomial W, then divided exactly by the part of that denominator coprime
-to m (cyclotomic indices d with gcd(d, m) = 1, including the 1-q tower).
-What remains is the sum times the non-coprime denominator part U; clearing
-by b_poly^rho is then the exact polynomial multiplication by
-expand(b_poly^rho / U), whose exponents are all nonnegative. Divisibility
-by a_poly * c_poly and integrality of the cleared sum follow from two
-exact integer divisions, and a per-term factored exponent tally reconfirms
-that each cleared summand is itself an integer Laurent polynomial.
+The q-congruence path never expands term by term. It steps
+R_k = b_poly^rho ((q^r;q^m)_k / (q^m;q^m)_k)^rho from k to k + 1 by exact
+1 - q^h passes (bigpoly.mul_binom, div_binom), so each cleared summand
+[2mk+r]_q R_k is integral by construction; their twisted sum, the cleared
+sum, is then divided exactly by a_poly * c_poly.
 """
 from __future__ import annotations
 
@@ -46,12 +41,12 @@ import math
 import types
 from fractions import Fraction
 
-from .bigpoly import IntPoly, LaurentInt, mul_binom
+from .bigpoly import IntPoly, LaurentInt, div_binom, mul_binom
 from .constructs import (a_poly, b_poly, c_poly, expand_product, n_alpha,
                          negative_tail, pair_ok, s_set, summand_twist)
 from .cyclotomic import phi_at_one
 from .exceptions import DomainError, NotDivisible
-from .qseries import FactoredQ, poch_ratio, pochhammer
+from .qseries import FactoredQ, poch_ratio
 from .record import Record
 
 
@@ -240,67 +235,60 @@ def verify_central_binomial(rho, n):
 # the q-congruence
 
 
-def _times_binom(p, x):
-    """The LaurentInt p times 1 - q^x, x != 0; for x < 0 this is
-    -q^x (1 - q^-x)."""
-    cs = mul_binom(p.base.coeffs, abs(x))
-    if x > 0:
-        return LaurentInt(IntPoly(cs), p.shift)
-    return LaurentInt(IntPoly([-c for c in cs]), p.shift + x)
-
-
-def _coprime_split(f, m):
-    """Split a FactoredQ's cyclotomic tally by gcd with m."""
-    cop = {d: e for d, e in f.factors if math.gcd(d, m) == 1}
-    rest = {d: e for d, e in f.factors if math.gcd(d, m) > 1}
-    return (FactoredQ(f.sign, f.qexp, cop), FactoredQ(1, 0, rest))
-
-
 @functools.lru_cache(maxsize=1)
 def _qcong_data(r, m, rho, n):
-    """Everything verify_q_congruence and the q = 1 specialization need."""
+    """Everything verify_q_congruence and the q = 1 specialization need.
 
-    # Per-term factored integrality: b_poly^rho clears every summand.
-    bf = b_poly(r, m, n)
-    bf_rho = bf ** rho
-    one_minus_q_inv = FactoredQ(1, 0, {1: -1})
+    The cleared sum is sum_{k<n} (-1)^{rho k} q^{e_k} [2mk+r]_q R_k, with
+    e_k from summand_twist and R_k = B^rho ((q^r;q^m)_k / (q^m;q^m)_k)^rho
+    for B = b_poly(r, m, n). Both are built from exact 1 - q^h passes:
+
+      B = prod_{j<=n} (1 - q^{mj}) / (1 - q^{j'}), where j' is j with every
+          prime it shares with m divided out; the product up to each j is
+          b_poly(r, m, j), so every division is exact
+      R_0 = B^rho, R_k = R_{k-1} (1 - q^{r+(k-1)m})^rho / (1 - q^{mk})^rho
+
+    with 1 - q^x = -q^x (1 - q^-x) for x < 0, and [x]_q R_k formed as
+    (1 - q^x) R_k / (1 - q). nonintegral_k is the first k whose division
+    raises NotDivisible; for pairs passing pair_ok none does, since every
+    R_k with k < n is integral.
+    """
+    R = [1]
+    for j in range(1, n + 1):
+        jp = j
+        while math.gcd(jp, m) > 1:
+            jp //= math.gcd(jp, m)
+        for _ in range(rho):
+            R = mul_binom(R, m * j)
+        for _ in range(rho):
+            R = div_binom(R, jp)
+
+    sign, shift = 1, 0  # R_k is sign * q^shift * R
+    cleared = LaurentInt(IntPoly(), 0)
     nonintegral_k = None
     for k in range(n):
-        x = 2 * m * k + r
-        if x == 0:
-            continue
-        term = bf_rho * poch_ratio(r, m, k) ** rho
-        term = term * pochhammer(x, 1, 1) * one_minus_q_inv
-        if not term.is_laurent_poly:
-            nonintegral_k = k
-            break
-
-    # The accumulated numerator W over (1-q)(q^m;q^m)_{n-1}^rho.
-    W = LaurentInt(IntPoly(), 0)
-    P = LaurentInt(IntPoly(1), 0)
-    for k in range(n):
         if k:
+            y = r + (k - 1) * m
             for _ in range(rho):
-                W = _times_binom(W, m * k)
-                P = _times_binom(P, r + (k - 1) * m)
+                R = mul_binom(R, abs(y))
+            if y < 0:  # 1 - q^y = -q^y (1 - q^-y)
+                sign *= (-1) ** rho
+                shift += rho * y
+            try:
+                for _ in range(rho):
+                    R = div_binom(R, m * k)
+            except NotDivisible:
+                nonintegral_k = k
+                break
         x = 2 * m * k + r
         if x == 0:
             continue
-        sign, e = summand_twist(r, m, rho, k)
-        L = _times_binom(P, x).times_q(e)
-        if sign < 0:
-            L = -L
-        W = W + L
-
-    denom = pochhammer(1, 1, 1) * pochhammer(m, m, n - 1) ** rho
-    v_f, u_f = _coprime_split(denom, m)
-    V = v_f.expand().base
-    Y = W.base.div_exact(V)          # equals (sum of terms) * U
-    g_f = bf_rho * u_f ** -1
-    if not g_f.is_laurent_poly:
-        raise NotDivisible("denominator exceeds b_poly^rho")
-    G = g_f.expand().base
-    cleared = LaurentInt(Y * G, W.shift)
+        twist, e = summand_twist(r, m, rho, k)
+        if x < 0:  # [x]_q = -q^x [-x]_q
+            twist, e = -twist, e + x
+        term = LaurentInt(IntPoly(div_binom(mul_binom(R, abs(x)), 1)),
+                          shift + e)
+        cleared = cleared + term if sign * twist > 0 else cleared - term
 
     ac_f = a_poly(r, m, n) * c_poly(m, n)
     AC = expand_product(ac_f)
@@ -318,7 +306,7 @@ def _qcong_data(r, m, rho, n):
         "H": H,
         "remainder": remainder,
         "nonintegral_k": nonintegral_k,
-        "b_at_one": bf.value_at_one(),
+        "b_at_one": b_poly(r, m, n).value_at_one(),
     })
 
 

@@ -38,7 +38,6 @@ def test_ring_ops():
     assert f ** 3 == IntPoly(1, 3, 3, 1)
     assert f ** 0 == IntPoly(1)
     assert (f * g).evaluate(3) == 8
-    assert LaurentInt(f).times_q(2) == LaurentInt(IntPoly(0, 0, 1, 1))
 
 
 def test_content_and_lead():
@@ -122,9 +121,3 @@ def test_laurent_normalization_and_ops():
     assert (x * y).shift == -1
     assert (x + y).base.evaluate(1) == x.base.evaluate(1) + 1
     assert (x - x).base.is_zero
-
-
-def test_laurent_times_q_can_go_negative():
-    x = LaurentInt(IntPoly(1, 1), 0)
-    assert x.times_q(-3).shift == -3
-    assert x.times_q(-3).base == IntPoly(1, 1)

@@ -53,6 +53,18 @@ def test_show_missing_flag_exits_nonzero():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("obj,flags", [
+    ("lambda", ["--d", "3"]), ("sset", ["--n", "3"]), ("A", ["--n", "3"]),
+    ("B", ["--n", "3"]), ("N", ["--n", "3"])])
+@pytest.mark.parametrize("r,m", [(2, 4), (0, 1), (3, 1), (1, 0)])
+def test_show_refuses_pair_outside_pair_ok(obj, flags, r, m, capsys):
+    # (2, 4) used to print the constructs of 1/2 with exit code 0
+    with pytest.raises(SystemExit) as err:
+        run_main(["show", obj, f"--r={r}", f"--m={m}", *flags])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_json_schema(capsys):
     code = run_main(["verify", "qcong", "--r", "1", "--m", "2",
                      "--rho", "1", "--n", "3", "--format", "json",
@@ -315,6 +327,23 @@ def test_report_bytes_pinned(fmt, jobs, tmp_path):
     assert run_main(PINNED_SPEC + ["--format", fmt, "--jobs", str(jobs),
                                    "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SHA256[fmt]
+
+
+# The benchmark's cli-sweep spec; hash taken before the q-congruence's
+# cleared sum moved to the binomial recurrence.
+SWEEP_SPEC = ["verify", "all", "--r", "1..3", "--m", "2..4", "--rho", "1..2",
+              "--n", "1..16", "--d-max", "20", "--format", "json",
+              "--no-timestamp"]
+SWEEP_SHA256 = (
+    "9cc18e2d8a6b69bc61e84e1678c32ef9de69d792057d5f9beab3060b23bfb790")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_report_bytes_pinned(jobs, tmp_path):
+    out = tmp_path / "report.json"
+    assert run_main(SWEEP_SPEC + ["--jobs", str(jobs),
+                                  "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256
 
 
 # The grid straddles every domain boundary: m = 1, non-coprime pairs,

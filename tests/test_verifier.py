@@ -151,6 +151,15 @@ def test_specialization_consistency():
         assert verify_specialization_at_one(*key).passed, key
 
 
+@pytest.mark.parametrize("key", [(-1, 2, 3, 33), (-5, 2, 3, 31),
+                                 (-3, 2, 3, 40), (-4, 3, 3, 31),
+                                 (-2, 3, 1, 38), (-3, 4, 1, 34)])
+def test_q_congruence_beyond_criterion_6(key):
+    # rho = 3, negative r and n in 31..40: outside the acceptance grid
+    assert verify_q_congruence(*key).passed, key
+    assert verify_specialization_at_one(*key).passed, key
+
+
 def test_two_adic_frozen():
     v = verify_two_adic_bounds(2, 6)
     assert v.passed
