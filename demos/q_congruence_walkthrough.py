@@ -19,8 +19,9 @@ def main():
 
     data = _qcong_data(r, m, rho, n)
     cleared = data["cleared"]
-    print("The cleared sum, computed by exact Laurent arithmetic with a")
-    print("per-term certificate that every coefficient is an integer:")
+    print("The cleared sum, built by a recurrence in which each summand")
+    print("comes from the last by exact divisions by 1 - q^h, so every")
+    print("coefficient is an integer:")
     print(f"  {cleared!r}")
     print(f"  digest: {poly_digest(cleared)}")
     print()
@@ -33,9 +34,12 @@ def main():
     print(f"  A * C = {data['AC']!r}")
     print()
 
-    H = data["H"]
-    print("Exact division leaves no remainder, and the quotient is again")
-    print("an integer polynomial:")
+    print("The verifier reduces the cleared sum modulo the monic A * C;")
+    print("the claim is that nothing is left:")
+    print(f"  remainder = {data['remainder']!r}")
+    H = cleared.base.div_exact(data["AC"])
+    print("So the division is exact, and the quotient is again an integer")
+    print("polynomial:")
     print(f"  cleared / (A*C) = q^{cleared.shift} * ({H!r})")
     print()
 

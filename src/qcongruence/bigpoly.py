@@ -17,7 +17,8 @@ separately so the slot digits stay nonnegative. Everything is exact.
 
 Multiplying or exactly dividing a coefficient list by a binomial 1 - q^h
 is a linear pass (mul_binom, div_binom); the cyclotomic table and the
-q-congruence's cleared sum are built from it.
+q-congruence's cleared sum are built from it. Division by any other
+polynomial is one synthetic-division loop, _long_div.
 """
 from __future__ import annotations
 
@@ -170,6 +171,28 @@ def div_binom(cs, h):
     return g
 
 
+def _long_div(cs, ds):
+    """cs divided by ds (nonzero lead) as one list: the low len(ds) - 1
+    entries are the remainder, entry len(ds) - 1 + i is the quotient's q^i
+    (each step stores its digit in the slot it eliminates). NotDivisible
+    when the lead of ds does not divide a step's leading term."""
+    out = list(cs)
+    dn = len(ds) - 1
+    lead, low = ds[-1], ds[:-1]
+    for i in range(len(out) - 1 - dn, -1, -1):
+        c = out[i + dn]
+        if not c:
+            continue
+        if lead != 1:
+            c, rest = divmod(c, lead)
+            if rest:
+                raise NotDivisible("leading coefficient does not divide")
+            out[i + dn] = c
+        for j, d in enumerate(low, i):
+            out[j] -= c * d
+    return out
+
+
 class IntPoly(Record):
     """A polynomial in q with integer coefficients."""
 
@@ -179,9 +202,6 @@ class IntPoly(Record):
         if len(coeffs) == 1 and not isinstance(coeffs[0], int):
             coeffs = tuple(coeffs[0])
         object.__setattr__(self, "coeffs", _trim(coeffs))
-
-    def _key(self):
-        return (self.coeffs,)
 
     def __repr__(self):
         """
@@ -289,26 +309,11 @@ class IntPoly(Record):
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero:
             return IntPoly()
-        bc = other.coeffs
-        db = len(bc)
-        rem = list(self.coeffs)
-        if len(rem) < db:
-            raise NotDivisible(f"remainder {self!r}")
-        lead = bc[-1]
-        qout = [0] * (len(rem) - db + 1)
-        for i in range(len(rem) - db, -1, -1):
-            t = rem[i + db - 1]
-            if not t:
-                continue
-            if t % lead:
-                raise NotDivisible("leading coefficient does not divide")
-            c = t // lead
-            qout[i] = c
-            for j in range(db):
-                rem[i + j] -= c * bc[j]
-        if any(rem):
-            raise NotDivisible(f"remainder {IntPoly(rem)!r}")
-        return IntPoly(qout)
+        out = _long_div(self.coeffs, other.coeffs)
+        dn = len(other.coeffs) - 1
+        if any(out[:dn]):
+            raise NotDivisible(f"remainder {IntPoly(out[:dn])!r}")
+        return IntPoly(out[dn:])
 
     def rem_monic(self, mod):
         """Remainder of self modulo a monic integer polynomial.
@@ -318,17 +323,8 @@ class IntPoly(Record):
         """
         if mod.lead != 1:
             raise ValueError("modulus must be monic")
-        dm = len(mod.coeffs)
-        if dm == 1:
-            return IntPoly()
-        rem = list(self.coeffs)
-        mc = mod.coeffs
-        for i in range(len(rem) - dm, -1, -1):
-            c = rem[i + dm - 1]
-            if c:
-                for j in range(dm):
-                    rem[i + j] -= c * mc[j]
-        return IntPoly(rem[:dm - 1])
+        dn = len(mod.coeffs) - 1
+        return IntPoly(_long_div(self.coeffs, mod.coeffs)[:dn])
 
 
 class LaurentInt(Record):
@@ -357,9 +353,6 @@ class LaurentInt(Record):
                 shift += k
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "shift", shift)
-
-    def _key(self):
-        return (self.base, self.shift)
 
     def __repr__(self):
         return _fmt_terms(self.base.coeffs, self.shift)

@@ -319,6 +319,20 @@ def cmd_verify(args, parser):
         tasks += t
         skipped += s
 
+    # open --out before any task runs, so a bad path costs no sweep
+    try:
+        fh = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        parser.error(f"--out {args.out}: {exc.strerror}")
+    try:
+        return _sweep(args, tasks, skipped, fh)
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
+
+
+def _sweep(args, tasks, skipped, fh):
+    """Run the tasks, write the report to fh and return the exit code."""
     verdicts, stopped = _run_all(tasks, args.jobs, args.fail_fast)
     counts = {
         "pass": sum(1 for v in verdicts if v.passed),
@@ -337,12 +351,7 @@ def cmd_verify(args, parser):
     }
     render = {"text": _render_text, "json": _render_json,
               "csv": _render_csv}[args.format]
-    report = render(spec, verdicts, counts, stopped, timestamp)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report)
-    else:
-        sys.stdout.write(report)
+    fh.write(render(spec, verdicts, counts, stopped, timestamp))
 
     proven_failed = any(
         not v.passed for v in verdicts if v.claim != "sun")

@@ -169,9 +169,6 @@ class CheckOutcome(Record):
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "detail", detail)
 
-    def _key(self):
-        return (self.ok, self.label, self.lhs, self.rhs, self.detail)
-
     def __bool__(self):
         return self.ok
 

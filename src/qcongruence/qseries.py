@@ -42,9 +42,6 @@ class FactoredQ(Record):
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "is_zero", is_zero)
 
-    def _key(self):
-        return (self.sign, self.qexp, self.factors, self.is_zero)
-
     @classmethod
     def one(cls):
         return cls()

@@ -1,16 +1,25 @@
 """
 Record: the shared base of the package's immutable value classes.
 
-A subclass names its fields in __slots__, sets them in its own __init__
-through object.__setattr__, and returns them from _key() in __init__'s
-argument order. Record then makes it frozen (assignment raises
-AttributeError), equal only to an instance of the same class with an equal
-key, hashable over that key, and picklable by calling __init__ again.
+A subclass names its fields in a __slots__ tuple, in __init__'s argument
+order, and sets them in its own __init__ through object.__setattr__. Record
+reads the fields from __slots__ alone (a subclass's after its bases') and
+makes the class frozen (assignment raises AttributeError), equal only to an
+instance of the same class with equal fields, hashable over them, and
+picklable by calling __init__ again.
 """
 
 
 class Record:
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(f for c in reversed(cls.__mro__)
+                            for f in c.__dict__.get("__slots__", ()))
+
+    def _key(self):
+        return tuple([getattr(self, f) for f in self._fields])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -30,5 +39,5 @@ class Record:
         return self.__class__, self._key()
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({fields})"

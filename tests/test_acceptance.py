@@ -156,7 +156,7 @@ def test_criterion_06_global_q_congruence():
                     record_criterion(6, False, f"fails at {(r, m, rho, n)}")
                     assert False, (r, m, rho, n)
                 count += 1
-    record_criterion(6, True, f"{count} exact polynomial divisions")
+    record_criterion(6, True, f"{count} zero remainders mod A*C")
 
 
 def test_criterion_07_cyclotomic_layer():

@@ -3,7 +3,8 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcongruence.bigpoly import (NEG_INF, IntPoly, LaurentInt, _mul_kronecker,
@@ -11,6 +12,19 @@ from qcongruence.bigpoly import (NEG_INF, IntPoly, LaurentInt, _mul_kronecker,
 from qcongruence.exceptions import NotDivisible
 
 coeff_lists = st.lists(st.integers(-10**6, 10**6), min_size=0, max_size=40)
+Q = sympy.Symbol("q")
+
+
+def to_sympy(p):
+    return sympy.Poly(list(reversed(p.coeffs)) or [0], Q, domain=sympy.QQ)
+
+
+def from_sympy(p):
+    """The IntPoly of a sympy polynomial over QQ, None if not integral."""
+    cs = [sympy.Rational(c) for c in reversed(p.all_coeffs())]
+    if any(c.q != 1 for c in cs):
+        return None
+    return IntPoly([int(c) for c in cs])
 
 
 def test_construction_trims_and_freezes():
@@ -121,3 +135,41 @@ def test_laurent_normalization_and_ops():
     assert (x * y).shift == -1
     assert (x + y).base.evaluate(1) == x.base.evaluate(1) + 1
     assert (x - x).base.is_zero
+
+
+@st.composite
+def division_cases(draw):
+    """(f, g) with g's lead in {1, -1, 2, -2, 3}: f is random, a multiple
+    of g, or, for an even lead, g/2 times a random h, whose quotient h/2
+    is exact over Q but integral only when h is even."""
+    small = st.lists(st.integers(-50, 50), max_size=12)
+    lead = draw(st.sampled_from([1, -1, 2, -2, 3]))
+    mode = draw(st.sampled_from(["random", "multiple", "half"]))
+    if mode == "half" and lead % 2 == 0:
+        g0 = IntPoly(draw(small) + [lead // 2])
+        return g0 * IntPoly(draw(small)), g0 * 2
+    g = IntPoly(draw(small) + [lead])
+    if mode == "random":
+        return IntPoly(draw(small)), g
+    return g * IntPoly(draw(small)), g
+
+
+@given(division_cases())
+@example((IntPoly(1, 1), IntPoly(2, 2)))        # exact over Q, quotient 1/2
+@example((IntPoly(2, 4, 2), IntPoly(2, 2)))     # quotient q + 1
+@example((IntPoly(1, 0, 0, 1), IntPoly(1, 1, 1)))  # remainder 2
+@example((IntPoly(), IntPoly(3)))
+@settings(max_examples=300, deadline=None)
+def test_division_matches_sympy(case):
+    # sympy divides over QQ; div_exact must succeed exactly when that
+    # leaves no remainder and an integral quotient
+    f, g = case
+    quot, rem = sympy.div(to_sympy(f), to_sympy(g))
+    want = from_sympy(quot) if rem.is_zero else None
+    if want is None:
+        with pytest.raises(NotDivisible):
+            f.div_exact(g)
+    else:
+        assert f.div_exact(g) == want
+    if g.lead == 1:
+        assert f.rem_monic(g) == from_sympy(rem)

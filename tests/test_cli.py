@@ -166,6 +166,21 @@ def test_report_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("where", ["missing/report.txt", "."])
+def test_unwritable_out_exits_2_before_work(where, tmp_path, monkeypatch,
+                                            capsys):
+    # a missing directory, or a directory itself: refused before any task
+    monkeypatch.setattr(cli, "_run_task", _no_work)
+    with pytest.raises(SystemExit) as err:
+        run_main(["verify", "central", "--rho", "2", "--n", "2..5",
+                  "--jobs", "1", "--out", str(tmp_path / where)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "--out" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_timestamp_present_by_default(capsys):
     run_main(["verify", "sun", "--n", "2", "--jobs", "1"])
     assert "generated:" in capsys.readouterr().out

@@ -8,11 +8,15 @@ W exactly by the part of that denominator coprime to m, and multiplies the
 quotient by the expanded B^rho / U (U the remaining denominator part). A
 per-summand FactoredQ tally supplies the first non-integral summand, if
 any. Its two long divisions are quadratic, so it stays at n <= 12.
+
+The divisibility itself is read from one remainder modulo A*C; sympy
+recomputes that remainder below.
 """
 
 import math
 
 import pytest
+import sympy
 
 from qcongruence.bigpoly import IntPoly, LaurentInt, mul_binom
 from qcongruence.constructs import (a_poly, b_poly, c_poly, expand_product,
@@ -85,5 +89,30 @@ def test_recurrence_matches_oracle(r, m):
             data = _qcong_data(r, m, rho, n)
             cleared, H, nonintegral_k = oracle_qcong(r, m, rho, n)
             assert data["cleared"] == cleared, (r, m, rho, n)
-            assert data["H"] == H, (r, m, rho, n)
+            assert data["remainder"].is_zero == (H is not None), \
+                (r, m, rho, n)
             assert data["nonintegral_k"] == nonintegral_k, (r, m, rho, n)
+
+
+def _sympy_rem(f, g):
+    q = sympy.Symbol("q")
+    rem = sympy.rem(sympy.Poly(list(reversed(f.coeffs)) or [0], q),
+                    sympy.Poly(list(reversed(g.coeffs)), q))
+    return IntPoly([int(c) for c in reversed(rem.all_coeffs())])
+
+
+@pytest.mark.parametrize("r,m", QCONG_PAIRS)
+def test_remainder_matches_sympy(r, m):
+    # the divisibility rests on one remainder; sympy recomputes it, and a
+    # cleared sum moved by 1 must leave the same nonzero remainder in both
+    for rho in (1, 2):
+        for n in range(1, 9):
+            data = _qcong_data(r, m, rho, n)
+            cleared, AC = data["cleared"].base, data["AC"]
+            assert data["remainder"].is_zero, (r, m, rho, n)
+            assert _sympy_rem(cleared, AC).is_zero, (r, m, rho, n)
+            moved = cleared + 1
+            assert moved.rem_monic(AC) == _sympy_rem(moved, AC), \
+                (r, m, rho, n)
+            assert AC.degree == 0 or not moved.rem_monic(AC).is_zero, \
+                (r, m, rho, n)

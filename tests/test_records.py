@@ -15,6 +15,7 @@ import pytest
 from qcongruence.bigpoly import IntPoly, LaurentInt
 from qcongruence.cycmodfield import CheckOutcome
 from qcongruence.qseries import FactoredQ
+from qcongruence.record import Record
 from qcongruence.verifier import RationalModInt, Verdict
 
 SAMPLES = {
@@ -123,3 +124,29 @@ def test_results_are_not_tuples(cls):
     # benchmark and report code treat any tuple as a raw record
     assert not issubclass(cls, tuple)
     assert not isinstance(SAMPLES[cls][0], tuple)
+
+
+class _Pair(Record):
+    """A Record that names its fields in __slots__ and nowhere else."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+
+def test_fields_come_from_slots_alone():
+    p = _Pair(1, [2])
+    assert p == _Pair(1, [2])
+    assert p != _Pair(1, [3])
+    assert p != _Pair(2, [2])
+    assert hash(_Pair(1, 2)) == hash(_Pair(1, 2)) != hash(_Pair(2, 1))
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(p, proto))
+        assert type(back) is _Pair
+        assert (back.a, back.b) == (1, [2])
+    assert repr(p) == "_Pair(a=1, b=[2])"
+    # a subclass keeps its bases' fields
+    sub = type("Sub", (_Pair,), {"__slots__": ()})
+    assert sub(1, 2) == sub(1, 2) != sub(1, 3)

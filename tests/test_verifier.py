@@ -10,8 +10,10 @@ from fractions import Fraction
 
 import pytest
 
+from qcongruence import verifier
 from qcongruence.bigpoly import IntPoly, LaurentInt
-from qcongruence.exceptions import DomainError
+from qcongruence.exceptions import DomainError, NotDivisible
+from qcongruence.qseries import FactoredQ
 from qcongruence.verifier import (RationalModInt, Verdict, poly_digest,
                                   poly_full, verify_binomial_sum,
                                   verify_central_binomial,
@@ -119,7 +121,9 @@ def test_q_congruence_frozen_polynomials():
         assert data["cleared"].shift == shift, key
         assert list(data["cleared"].base.coeffs) == cleared, key
         assert list(data["AC"].coeffs) == ac, key
-        assert list(data["H"].coeffs) == quot, key
+        assert data["remainder"].is_zero, key
+        H = data["cleared"].base.div_exact(data["AC"])
+        assert list(H.coeffs) == quot, key
     for key, (shift, ac, at1) in FROZEN_QCONG_BIG.items():
         data = _qcong_data(*key)
         assert data["cleared"].shift == shift, key
@@ -132,7 +136,7 @@ def test_q_congruence_cached_result_is_read_only():
     data = _qcong_data(1, 2, 1, 3)
     with pytest.raises(TypeError):
         data["cleared"] = None
-    assert _qcong_data(1, 2, 1, 3)["H"] is not None
+    assert _qcong_data(1, 2, 1, 3)["remainder"].is_zero
 
 
 def test_q_congruence_verdict_and_digest():
@@ -158,6 +162,60 @@ def test_q_congruence_beyond_criterion_6(key):
     # rho = 3, negative r and n in 31..40: outside the acceptance grid
     assert verify_q_congruence(*key).passed, key
     assert verify_specialization_at_one(*key).passed, key
+
+
+# Failure witnesses of the q-congruence, pinned before the A*C test was
+# settled by one remainder. Nothing in the package fails on real inputs, so
+# each case breaks one ingredient and clears the one-entry cache around it.
+@pytest.fixture
+def fresh_qcong_cache():
+    verifier._qcong_data.cache_clear()
+    yield
+    verifier._qcong_data.cache_clear()
+
+
+def test_q_congruence_witness_when_ac_does_not_divide(monkeypatch,
+                                                      fresh_qcong_cache):
+    c_poly = verifier.c_poly
+    monkeypatch.setattr(verifier, "c_poly", lambda m, n: c_poly(m, n)
+                        * FactoredQ(1, 0, {7: 1}))
+    v = verify_q_congruence(1, 2, 1, 3)
+    assert not v.passed
+    assert v.witness == {
+        "nonintegral_term": None,
+        "remainder_digest": {"degree": 9, "content": 1, "at1": 30,
+                             "at2": 1953}}
+    w = verify_specialization_at_one(1, 2, 1, 3)
+    assert not w.passed
+    assert w.witness == {
+        "cleared_at_1": 30, "b_at_1": "16", "scaled_sum": "15/8",
+        "value_match": True, "value_identity": False, "content_one": True,
+        "b_prime_support_divides_m": True, "quotient_at_1": False,
+        "agrees_with_binomsum": False}
+
+
+def test_q_congruence_witness_for_a_nonintegral_summand(monkeypatch,
+                                                        fresh_qcong_cache):
+    div_binom = verifier.div_binom
+
+    def refuse_h4(cs, h):
+        if h == 4:
+            raise NotDivisible("forced at h = 4")
+        return div_binom(cs, h)
+    monkeypatch.setattr(verifier, "div_binom", refuse_h4)
+    v = verify_q_congruence(1, 2, 1, 5)
+    assert not v.passed
+    assert v.witness == {
+        "nonintegral_term": 2,
+        "remainder_digest": {"degree": 16, "content": 1, "at1": -69,
+                             "at2": 95053}}
+    w = verify_specialization_at_one(1, 2, 1, 5)
+    assert not w.passed
+    assert w.witness == {
+        "cleared_at_1": -384, "b_at_1": "256", "scaled_sum": "315/128",
+        "value_match": False, "value_identity": True, "content_one": True,
+        "b_prime_support_divides_m": True, "quotient_at_1": False,
+        "agrees_with_binomsum": False}
 
 
 def test_two_adic_frozen():
