@@ -16,9 +16,10 @@ read back out of the slots. Positive and negative parts are packed
 separately so the slot digits stay nonnegative. Everything is exact.
 
 Multiplying or exactly dividing a coefficient list by a binomial 1 - q^h
-is a linear pass (mul_binom, div_binom); the cyclotomic table and the
-q-congruence's cleared sum are built from it. Division by any other
-polynomial is one synthetic-division loop, _long_div.
+is a linear pass (mul_binom, div_binom). Every cyclotomic product is built
+from it: each Phi_d, and every expanded FactoredQ such as A, B, C and A*C
+(cyclotomic.phi_product), as is the q-congruence's cleared sum. Division
+by any other polynomial is one synthetic-division loop, _long_div.
 """
 from __future__ import annotations
 

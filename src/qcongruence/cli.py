@@ -53,10 +53,13 @@ _NEEDS = {"binomsum": ("r", "m", "rho", "n"), "central": ("rho", "n"),
 
 _PARAM_ORDER = ("r", "m", "rho", "n", "d", "s", "t", "h")
 
-# Input ceilings. The q-congruence's polynomials grow like rho*m*n^2/2
-# coefficients of about 2*rho*n bits, and a grid's task count is the
-# product of its flags' lengths; these keep both within memory.
-# flag -> (largest |value|, most values in one range)
+# Input ceilings, flag -> (largest |value|, most values in one range).
+# `show` stays small under them: its largest products, A at r 49, m 10,
+# n 100 and B at m 10, n 100 (about 50,000 coefficients each), took about
+# 1 s and 40 MB each on a 2-core host. `verify` is not bounded by
+# measurement: a grid's task count is the product of its flags' lengths,
+# and one qcong task's polynomials grow like rho*m*n^2/2 coefficients of
+# about 2*rho*n bits, so its worst case at these ceilings is unmeasured.
 GRID_LIMITS = {"r": (50, 32), "m": (10, 10), "rho": (6, 6), "n": (100, 100)}
 D_MAX_LIMIT = 100
 SHOW_D_LIMIT = 10000

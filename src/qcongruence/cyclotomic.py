@@ -1,13 +1,15 @@
 """
 Cyclotomic polynomials and the 1 - q^h factorization layer.
 
-Phi_d is built from the Moebius product over the squarefree divisors e of d:
-multiply out every (1 - q^{d/e}) with mu(e) = +1, then exactly divide by the
-ones with mu(e) = -1. Writing the binomials as 1 - q^h rather than q^h - 1
-changes nothing for d > 1, because the mu(e) sum to 0 over the divisors of
-d; Phi_1 = q - 1 takes one sign flip. Each multiply or divide is a linear
-pass, so the whole construction is fast enough to tabulate thousands of
-Phi_d.
+Every product of cyclotomic polynomials is expanded through binomials:
+Phi_d = prod_{h | d} (1 - q^h)^mu(d/h), so a tally {d: e} is the binomial
+product prod_h (1 - q^h)^c_h with c_h = sum_d e * mu(d/h) (phi_product).
+Every positive c_h is multiplied in first, and only then is every negative
+one divided out, so each division is exact. Writing the binomials as
+1 - q^h rather than q^h - 1 changes nothing for d > 1, because the mu(d/h)
+sum to 0 over the divisors of d; the d = 1 factor reads as 1 - q, and Phi_1
+= q - 1 takes one sign flip. Each multiply or divide is a linear pass, so
+the whole construction is fast enough to tabulate thousands of Phi_d.
 """
 from __future__ import annotations
 
@@ -69,6 +71,37 @@ def euler_phi(n):
     return out
 
 
+def phi_product(tally):
+    """Coefficients of prod Phi_d^e over a tally {d: e}, with the d = 1
+    factor read as 1 - q.
+
+    Raises NotDivisible when the product is not a polynomial.
+
+    >>> phi_product({1: 1, 2: 1})
+    [1, 0, -1]
+    >>> phi_product({6: 2})
+    [1, -2, 3, -2, 1]
+    """
+    net = {}
+    for d, e in tally.items():
+        ps = prime_factors(d)
+        for mask in range(1 << len(ps)):
+            h, c = d, e
+            for i, p in enumerate(ps):
+                if mask >> i & 1:
+                    h //= p
+                    c = -c
+            net[h] = net.get(h, 0) + c
+    cs = [1]
+    for h in sorted(net):
+        for _ in range(net[h]):
+            cs = mul_binom(cs, h)
+    for h in sorted(net, reverse=True):
+        for _ in range(-net[h]):
+            cs = div_binom(cs, h)
+    return cs
+
+
 @functools.lru_cache(maxsize=None)
 def phi(d):
     """The d-th cyclotomic polynomial as an IntPoly.
@@ -84,21 +117,7 @@ def phi(d):
     """
     if d < 1:
         raise DomainError(f"phi({d})")
-    ps = prime_factors(d)
-    muls, divs = [], []
-    for mask in range(1 << len(ps)):
-        e = 1
-        bits = 0
-        for i, p in enumerate(ps):
-            if mask >> i & 1:
-                e *= p
-                bits += 1
-        (muls if bits % 2 == 0 else divs).append(d // e)
-    cs = [1]
-    for h in sorted(muls):
-        cs = mul_binom(cs, h)
-    for h in sorted(divs, reverse=True):
-        cs = div_binom(cs, h)
+    cs = phi_product({d: 1})
     return IntPoly([-c for c in cs] if d == 1 else cs)
 
 

@@ -11,13 +11,17 @@ with x < 0 is normalized through 1 - q^x = -q^x (1 - q^{-x}), contributing
 to the sign and the q-power, and a factor with x = 0 collapses the whole
 product to the distinguished Zero value. The representation is canonical
 (sorted, no zero exponents), so equality is structural.
+
+Expanding runs the splitting backwards: the tally turns into net binomial
+exponents, and the product is multiplied out by exact 1 - q^h passes
+(cyclotomic.phi_product), never Phi_d by Phi_d.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .bigpoly import IntPoly, LaurentInt
-from .cyclotomic import divisors, phi, phi_at_one
+from .cyclotomic import divisors, phi_at_one, phi_product
 from .exceptions import DomainError
 from .record import Record
 
@@ -120,7 +124,8 @@ class FactoredQ(Record):
         return out
 
     def expand(self):
-        """Expand to a LaurentInt, multiplying out the cyclotomic factors.
+        """Expand to a LaurentInt: sign * q^qexp times the cyclotomic
+        product, built by cyclotomic.phi_product from exact 1 - q^h passes.
 
         The d = 1 factor expands to 1 - q per the module convention.
         Negative exponents raise DomainError.
@@ -132,10 +137,9 @@ class FactoredQ(Record):
             raise DomainError("negative cyclotomic exponents remain")
         if self.is_zero:
             return LaurentInt(IntPoly(), 0)
-        num = IntPoly(self.sign)
-        for d, e in self.factors:
-            num = num * (IntPoly(1, -1) if d == 1 else phi(d)) ** e
-        return LaurentInt(num, self.qexp)
+        cs = phi_product(dict(self.factors))
+        return LaurentInt(IntPoly(cs if self.sign > 0 else [-c for c in cs]),
+                          self.qexp)
 
 
 def pochhammer(a, m, k):

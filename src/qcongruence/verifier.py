@@ -33,7 +33,8 @@ R_k = b_poly^rho ((q^r;q^m)_k / (q^m;q^m)_k)^rho from k to k + 1 by exact
 1 - q^h passes (bigpoly.mul_binom, div_binom), so each cleared summand
 [2mk+r]_q R_k is integral by construction. Their twisted sum, the cleared
 sum, is reduced modulo the monic a_poly * c_poly; that one remainder
-settles the divisibility and is a failure's witness.
+settles the divisibility and is a failure's witness. A grid sweeps n
+innermost, so the cleared sum at n resumes from the one at n - 1.
 """
 from __future__ import annotations
 
@@ -229,41 +230,52 @@ def verify_central_binomial(rho, n):
 # the q-congruence
 
 
-@functools.lru_cache(maxsize=1)
-def _qcong_data(r, m, rho, n):
-    """Everything verify_q_congruence and the q = 1 specialization need.
+# The last integral build of the cleared sum, which _cleared_sum resumes
+# from: ((r, m, rho), n, R_{n-1} as a list, its sign, its shift, cleared).
+_resume = None
 
-    The cleared sum is sum_{k<n} (-1)^{rho k} q^{e_k} [2mk+r]_q R_k, with
-    e_k from summand_twist and R_k = B^rho ((q^r;q^m)_k / (q^m;q^m)_k)^rho
-    for B = b_poly(r, m, n). Both are built from exact 1 - q^h passes:
 
-      B = prod_{j<=n} (1 - q^{mj}) / (1 - q^{j'}), where j' is j with every
-          prime it shares with m divided out; the product up to each j is
-          b_poly(r, m, j), so every division is exact
-      R_0 = B^rho, R_k = R_{k-1} (1 - q^{r+(k-1)m})^rho / (1 - q^{mk})^rho
+def reset_qcong():
+    """Forget the cached q-congruence instance and the resume state."""
+    global _resume
+    _resume = None
+    _qcong_data.cache_clear()
 
-    with 1 - q^x = -q^x (1 - q^-x) for x < 0, and [x]_q R_k formed as
-    (1 - q^x) R_k / (1 - q). nonintegral_k is the first k whose division
-    raises NotDivisible; for pairs passing pair_ok none does, since every
-    R_k with k < n is integral.
 
-    "remainder" is the cleared sum's base modulo the expanded a_poly *
-    c_poly, zero exactly when that product divides the cleared sum.
-    """
-    R = [1]
-    for j in range(1, n + 1):
-        jp = j
-        while math.gcd(jp, m) > 1:
-            jp //= math.gcd(jp, m)
-        for _ in range(rho):
-            R = mul_binom(R, m * j)
-        for _ in range(rho):
-            R = div_binom(R, jp)
+def _times_f(cs, m, rho, j):
+    """cs times F_j^rho (see _qcong_data). F_j is a polynomial, so with
+    every multiply first, every division is exact."""
+    jp = j
+    while math.gcd(jp, m) > 1:
+        jp //= math.gcd(jp, m)
+    for _ in range(rho):
+        cs = mul_binom(cs, m * j)
+    for _ in range(rho):
+        cs = div_binom(cs, jp)
+    return cs
 
-    sign, shift = 1, 0  # R_k is sign * q^shift * R
-    cleared = LaurentInt(IntPoly(), 0)
+
+def _cleared_sum(r, m, rho, n):
+    """(cleared, nonintegral_k) for _qcong_data, resumed from _resume when
+    it holds the same (r, m, rho) at some n0 <= n, and otherwise from the
+    empty state n0 = 0, R = 1, cleared = 0 through the same loop. A build
+    that meets a non-integral summand leaves no state to resume from."""
+    global _resume
+    # R_k is sign * q^shift * R
+    if _resume is not None and _resume[0] == (r, m, rho) and _resume[1] <= n:
+        _, n0, R, sign, shift, cleared = _resume
+    else:
+        n0, R, sign, shift, cleared = 0, [1], 1, 0, LaurentInt(IntPoly(), 0)
+    _resume = None
+    cs = list(cleared.base.coeffs)
+    for j in range(n0 + 1, n + 1):
+        R = _times_f(R, m, rho, j)
+        if cs:  # a zero sum stays zero, with no padding
+            cs = _times_f(cs, m, rho, j)
+    cleared = LaurentInt(IntPoly(cs), cleared.shift)
+
     nonintegral_k = None
-    for k in range(n):
+    for k in range(n0, n):
         if k:
             y = r + (k - 1) * m
             for _ in range(rho):
@@ -286,7 +298,38 @@ def _qcong_data(r, m, rho, n):
         term = LaurentInt(IntPoly(div_binom(mul_binom(R, abs(x)), 1)),
                           shift + e)
         cleared = cleared + term if sign * twist > 0 else cleared - term
+    if nonintegral_k is None:
+        _resume = ((r, m, rho), n, R, sign, shift, cleared)
+    return cleared, nonintegral_k
 
+
+@functools.lru_cache(maxsize=1)
+def _qcong_data(r, m, rho, n):
+    """Everything verify_q_congruence and the q = 1 specialization need.
+
+    The cleared sum is sum_{k<n} (-1)^{rho k} q^{e_k} [2mk+r]_q R_k, with
+    e_k from summand_twist and R_k = B^rho ((q^r;q^m)_k / (q^m;q^m)_k)^rho
+    for B = b_poly(r, m, n). Both are built from exact 1 - q^h passes:
+
+      B = prod_{j<=n} F_j, F_j = (1 - q^{mj}) / (1 - q^{j'}), where j' is j
+          with every prime it shares with m divided out; the product up to
+          each j is b_poly(r, m, j), so every division is exact
+      R_0 = B^rho, R_k = R_{k-1} (1 - q^{r+(k-1)m})^rho / (1 - q^{mk})^rho
+
+    with 1 - q^x = -q^x (1 - q^-x) for x < 0, and [x]_q R_k formed as
+    (1 - q^x) R_k / (1 - q). nonintegral_k is the first k whose division
+    raises NotDivisible; for pairs passing pair_ok none does, since every
+    R_k with k < n is integral. From there on no summand is added.
+
+    Grids sweep n innermost, so the cleared sum resumes from the previous
+    instance (_cleared_sum). B_n = B_{n0} prod_{n0<j<=n} F_j, and every
+    summand carries B_n^rho, so cleared_{n0} and R_{n0-1} are scaled by
+    F_j^rho for n0 < j <= n, and only the summands k >= n0 are added.
+
+    "remainder" is the cleared sum's base modulo the expanded a_poly *
+    c_poly, zero exactly when that product divides the cleared sum.
+    """
+    cleared, nonintegral_k = _cleared_sum(r, m, rho, n)
     ac_f = a_poly(r, m, n) * c_poly(m, n)
     AC = expand_product(ac_f)
     # Read-only: lru_cache hands this same mapping to every caller.

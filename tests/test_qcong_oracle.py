@@ -8,16 +8,24 @@ W exactly by the part of that denominator coprime to m, and multiplies the
 quotient by the expanded B^rho / U (U the remaining denominator part). A
 per-summand FactoredQ tally supplies the first non-integral summand, if
 any. Its two long divisions are quadratic, so it stays at n <= 12.
+Further out, the resume tests check the same identity cross-multiplied:
+cleared * denominator == W * B^rho, with the factors the two sides share
+cancelled first.
+
+Grids resume the cleared sum from the previous instance; the resume tests
+build every instance from empty and in three orders, and compare.
 
 The divisibility itself is read from one remainder modulo A*C; sympy
 recomputes that remainder below.
 """
 
 import math
+import random
 
 import pytest
 import sympy
 
+from qcongruence import verifier
 from qcongruence.bigpoly import IntPoly, LaurentInt, mul_binom
 from qcongruence.constructs import (a_poly, b_poly, c_poly, expand_product,
                                     summand_twist)
@@ -38,9 +46,9 @@ def _times_binom(p, x):
     return LaurentInt(IntPoly([-c for c in cs]), p.shift + x)
 
 
-def oracle_qcong(r, m, rho, n):
-    """(cleared, H, nonintegral_k) by accumulation over a common
-    denominator and two exact long divisions."""
+def oracle_terms(r, m, rho, n):
+    """(W, denom, bf_rho, nonintegral_k): the cleared sum is
+    W * bf_rho / denom, with W accumulated over the common denominator."""
     bf_rho = b_poly(r, m, n) ** rho
     nonintegral_k = None
     for k in range(n):
@@ -65,8 +73,14 @@ def oracle_qcong(r, m, rho, n):
         sign, e = summand_twist(r, m, rho, k)
         L = _times_binom(P, x)
         W = W + LaurentInt(L.base * sign, L.shift + e)
-
     denom = pochhammer(1, 1, 1) * pochhammer(m, m, n - 1) ** rho
+    return W, denom, bf_rho, nonintegral_k
+
+
+def oracle_qcong(r, m, rho, n):
+    """(cleared, H, nonintegral_k) by accumulation over a common
+    denominator and two exact long divisions."""
+    W, denom, bf_rho, nonintegral_k = oracle_terms(r, m, rho, n)
     coprime = {d: e for d, e in denom.factors if math.gcd(d, m) == 1}
     rest = {d: e for d, e in denom.factors if math.gcd(d, m) > 1}
     V = FactoredQ(denom.sign, denom.qexp, coprime).expand().base
@@ -116,3 +130,59 @@ def test_remainder_matches_sympy(r, m):
                 (r, m, rho, n)
             assert AC.degree == 0 or not moved.rem_monic(AC).is_zero, \
                 (r, m, rho, n)
+
+
+# criterion 6's pairs, rho 1..3, n 1..18
+RESUME_KEYS = [(r, m, rho, n) for r, m in QCONG_PAIRS for rho in (1, 2, 3)
+               for n in range(1, 19)]
+
+
+@pytest.fixture(scope="module")
+def from_empty():
+    """_cleared_sum of every RESUME_KEYS instance, each built from empty."""
+    out = {}
+    for key in RESUME_KEYS:
+        verifier.reset_qcong()
+        out[key] = verifier._cleared_sum(*key)
+    verifier.reset_qcong()
+    return out
+
+
+def test_from_empty_matches_oracle(from_empty):
+    # cleared = W * bf_rho / denom, cross-multiplied after the factored
+    # ratio bf_rho / denom has cancelled what it can
+    for key, (cleared, nonintegral_k) in from_empty.items():
+        W, denom, bf_rho, oracle_k = oracle_terms(*key)
+        ratio = bf_rho * denom ** -1
+        num = FactoredQ(ratio.sign, ratio.qexp,
+                        {d: e for d, e in ratio.factors if e > 0})
+        den = FactoredQ(1, 0, {d: -e for d, e in ratio.factors if e < 0})
+        assert cleared * den.expand() == W * num.expand(), key
+        assert nonintegral_k == oracle_k, key
+
+
+ORDERS = {"grid": RESUME_KEYS,
+          "shuffled": random.Random(6).sample(RESUME_KEYS, len(RESUME_KEYS)),
+          "descending": RESUME_KEYS[::-1]}
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_resumed_matches_from_empty(order, from_empty):
+    verifier.reset_qcong()
+    for key in ORDERS[order]:
+        assert verifier._cleared_sum(*key) == from_empty[key], key
+    verifier.reset_qcong()
+
+
+def test_random_resumes_match_from_empty(from_empty):
+    rng = random.Random(40)
+    for _ in range(40):
+        r, m = rng.choice(QCONG_PAIRS)
+        rho = rng.randint(1, 3)
+        n0, n = sorted(rng.choices(range(1, 19), k=2))
+        verifier.reset_qcong()
+        verifier._cleared_sum(r, m, rho, n0)
+        assert verifier._resume[:2] == ((r, m, rho), n0)
+        assert verifier._cleared_sum(r, m, rho, n) == \
+            from_empty[(r, m, rho, n)], (r, m, rho, n0, n)
+    verifier.reset_qcong()

@@ -2,16 +2,21 @@
 
 The d = 1 factor stands for 1 - q, not the monic q - 1, so products of
 (1 - q^h) factors carry no hidden sign. Everything here leans on that.
+
+FactoredQ.expand builds its product from net 1 - q^h passes; the oracle
+below multiplies it out one Phi_d at a time instead.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcongruence.bigpoly import IntPoly
+from qcongruence import cli
+from qcongruence.bigpoly import IntPoly, LaurentInt
 from qcongruence.cyclotomic import divisors, phi
 from qcongruence.exceptions import DomainError
 from qcongruence.qseries import FactoredQ, poch_ratio, pochhammer, qbinom_int
@@ -20,6 +25,17 @@ from qcongruence.qseries import FactoredQ, poch_ratio, pochhammer, qbinom_int
 def one_minus_q_to_the(h):
     """1 - q^h expanded directly, the reference for factored results."""
     return IntPoly([1] + [0] * (h - 1) + [-1])
+
+
+def expand_phi_by_phi(f):
+    """Test oracle: sign * q^qexp times each Phi_d^e multiplied out in turn,
+    with the d = 1 factor as 1 - q."""
+    if f.is_zero:
+        return LaurentInt(IntPoly(), 0)
+    num = IntPoly(f.sign)
+    for d, e in f.factors:
+        num = num * (IntPoly(1, -1) if d == 1 else phi(d)) ** e
+    return LaurentInt(num, f.qexp)
 
 
 def test_factored_one_and_zero():
@@ -109,6 +125,50 @@ def test_is_laurent_poly():
     assert not (pochhammer(1, 1, 3) ** -1).is_laurent_poly
     with pytest.raises(DomainError):
         (pochhammer(1, 1, 3) ** -1).expand()
+
+
+factored_products = st.one_of(
+    st.just(FactoredQ.zero()),
+    st.builds(FactoredQ, st.sampled_from([1, -1]), st.integers(-5, 5),
+              st.dictionaries(st.integers(1, 60), st.integers(0, 3),
+                              max_size=8)))
+
+
+@given(factored_products)
+@example(FactoredQ(-1, 3, {1: 2, 6: 1, 60: 3}))
+@settings(max_examples=150, deadline=None)
+def test_expand_matches_phi_by_phi_oracle(f):
+    assert f.expand() == expand_phi_by_phi(f)
+
+
+@given(st.dictionaries(st.integers(1, 60), st.integers(-3, 3), min_size=1,
+                       max_size=8), st.integers(1, 60))
+@settings(max_examples=60, deadline=None)
+def test_expand_refuses_negative_exponents(tally, d):
+    # Phi_d^-1 times anything else stays a pole, even when the net binomial
+    # product could be divided out
+    tally[d] = -1
+    with pytest.raises(DomainError):
+        FactoredQ(1, 0, tally).expand()
+
+
+# sha256 of `qcongruence show` stdout, taken when A and B were still
+# multiplied out one Phi_d at a time (about 90 s and 150 s each on a
+# 2-core host)
+SHOW_SHA256 = {
+    ("A", "49", "10", "100"):
+        "f02909e58b76994ac0db3e86b86c8f70cea9b1b9d60390c8df20c4cf7002949e",
+    ("B", "1", "10", "100"):
+        "4861f66997f85d708668bbba56d57cf6d787771b81b3d49fe6b53a059c69e2c4",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SHOW_SHA256))
+def test_show_large_products_pinned(key, capsys):
+    obj, r, m, n = key
+    assert cli.main(["show", obj, "--r", r, "--m", m, "--n", n]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == SHOW_SHA256[key]
 
 
 def test_qbinom_small_table():

@@ -166,12 +166,14 @@ def test_q_congruence_beyond_criterion_6(key):
 
 # Failure witnesses of the q-congruence, pinned before the A*C test was
 # settled by one remainder. Nothing in the package fails on real inputs, so
-# each case breaks one ingredient and clears the one-entry cache around it.
+# each case breaks one ingredient, and clears the one-entry cache and the
+# resume state around it, so the broken build starts from empty and no later
+# build resumes from it.
 @pytest.fixture
 def fresh_qcong_cache():
-    verifier._qcong_data.cache_clear()
+    verifier.reset_qcong()
     yield
-    verifier._qcong_data.cache_clear()
+    verifier.reset_qcong()
 
 
 def test_q_congruence_witness_when_ac_does_not_divide(monkeypatch,
@@ -194,15 +196,15 @@ def test_q_congruence_witness_when_ac_does_not_divide(monkeypatch,
         "agrees_with_binomsum": False}
 
 
+def _refuse_h4(cs, h, div_binom=verifier.div_binom):
+    if h == 4:
+        raise NotDivisible("forced at h = 4")
+    return div_binom(cs, h)
+
+
 def test_q_congruence_witness_for_a_nonintegral_summand(monkeypatch,
                                                         fresh_qcong_cache):
-    div_binom = verifier.div_binom
-
-    def refuse_h4(cs, h):
-        if h == 4:
-            raise NotDivisible("forced at h = 4")
-        return div_binom(cs, h)
-    monkeypatch.setattr(verifier, "div_binom", refuse_h4)
+    monkeypatch.setattr(verifier, "div_binom", _refuse_h4)
     v = verify_q_congruence(1, 2, 1, 5)
     assert not v.passed
     assert v.witness == {
@@ -216,6 +218,15 @@ def test_q_congruence_witness_for_a_nonintegral_summand(monkeypatch,
         "value_match": False, "value_identity": True, "content_one": True,
         "b_prime_support_divides_m": True, "quotient_at_1": False,
         "agrees_with_binomsum": False}
+
+
+def test_no_resume_from_a_nonintegral_build(monkeypatch, fresh_qcong_cache):
+    want = verifier._cleared_sum(1, 2, 1, 6)
+    verifier.reset_qcong()
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier, "div_binom", _refuse_h4)
+        assert verifier._cleared_sum(1, 2, 1, 5)[1] == 2
+    assert verifier._cleared_sum(1, 2, 1, 6) == want
 
 
 def test_two_adic_frozen():
