@@ -23,7 +23,7 @@ from .cycmodfield import (FoldedRatio, check_block_constant,
                           check_mu_consistency, check_qbinom_reduction,
                           check_sign_reduction, folded_equal)
 from .exceptions import DomainError, NotDivisible
-from .qseries import FactoredQ, pochhammer, poch_ratio, qbinom_int
+from .qseries import FactoredQ, pochhammer, poch_ratio
 from .verifier import (Verdict, poly_digest, verify_binomial_sum,
                        verify_central_binomial, verify_q_congruence,
                        verify_specialization_at_one,
@@ -41,7 +41,7 @@ __all__ = [
     "check_block_decomposition", "check_block_sum", "check_mu_consistency",
     "check_qbinom_reduction", "check_sign_reduction", "folded_equal",
     "DomainError", "NotDivisible",
-    "FactoredQ", "pochhammer", "poch_ratio", "qbinom_int",
+    "FactoredQ", "pochhammer", "poch_ratio",
     "Verdict", "poly_digest", "verify_binomial_sum",
     "verify_central_binomial", "verify_q_congruence",
     "verify_specialization_at_one", "verify_structure_identity",

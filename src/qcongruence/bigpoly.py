@@ -7,19 +7,25 @@ with trailing zeros trimmed so every value has exactly one representation.
 The zero polynomial is the empty tuple and its degree is -inf, which keeps
 degree(a*b) == degree(a) + degree(b) true without special cases.
 
-Multiplication picks between schoolbook convolution (iterating over the
-operand with fewer nonzero entries, so multiplying by a binomial stays
-linear in the other operand) and Kronecker substitution for two genuinely
-dense operands: coefficients are packed into big nonnegative integers in
-fixed byte-aligned slots, CPython multiplies those, and the convolution is
-read back out of the slots. Positive and negative parts are packed
-separately so the slot digits stay nonnegative. Everything is exact.
+The convolution of two coefficient lists, mul_lists, picks between
+schoolbook (iterating over the operand with fewer nonzero entries, so
+multiplying by a binomial stays linear in the other operand) and Kronecker
+substitution for two genuinely dense operands: coefficients are packed
+into big nonnegative integers in fixed byte-aligned slots, CPython
+multiplies those, and the convolution is read back out of the slots.
+Positive and negative parts are packed separately so the slot digits stay
+nonnegative. Everything is exact.
 
-Multiplying or exactly dividing a coefficient list by a binomial 1 - q^h
-is a linear pass (mul_binom, div_binom). Every cyclotomic product is built
-from it: each Phi_d, and every expanded FactoredQ such as A, B, C and A*C
+Multiplying or exactly dividing a coefficient list by a power
+(1 - q^h)^e is e linear passes of one kernel (mul_binom, div_binom, which
+take the exponent). Every cyclotomic product is built from it: each
+Phi_d, and every expanded FactoredQ such as A, B, C and A*C
 (cyclotomic.phi_product), as is the q-congruence's cleared sum. Division
 by any other polynomial is one synthetic-division loop, _long_div.
+
+fold(cs, d, shift) is the one reduction mod q^d - 1: cs * q^shift as d
+coefficients. The per-Phi_d checks (cycmodfield) fold their products with
+it and settle each check with one rem_monic by Phi_d.
 """
 from __future__ import annotations
 
@@ -119,7 +125,7 @@ def _mul_school(a, b):
     return out
 
 
-def _mul_lists(a, b):
+def mul_lists(a, b):
     """Exact convolution of two nonempty coefficient lists."""
     nza = sum(1 for c in a if c)
     nzb = sum(1 for c in b if c)
@@ -133,43 +139,69 @@ def _mul_lists(a, b):
     return _mul_kronecker(a, b)
 
 
-def mul_binom(cs, h):
-    """A coefficient list times 1 - q^h, h >= 1, as a new list.
+def mul_binom(cs, h, e=1):
+    """A coefficient list times (1 - q^h)^e, h >= 1, e >= 0, as a new list.
 
     >>> mul_binom([1, 1], 2)
     [1, 1, -1, -1]
+    >>> mul_binom([1], 1, 2)
+    [1, -2, 1]
     """
-    if h < 1:
-        raise ValueError(f"binomial 1 - q^{h}")
-    out = list(cs) + [0] * h
-    out[h:] = map(operator.sub, out[h:], cs)
+    if h < 1 or e < 0:
+        raise ValueError(f"binomial (1 - q^{h})^{e}")
+    out = list(cs)
+    for _ in range(e):
+        prev = out
+        out = prev + [0] * h
+        out[h:] = map(operator.sub, out[h:], prev)
     return out
 
 
-def div_binom(cs, h):
-    """Exact quotient of a coefficient list by 1 - q^h, h >= 1, as a new list.
+def div_binom(cs, h, e=1):
+    """Exact quotient of a coefficient list by (1 - q^h)^e, h >= 1, e >= 0,
+    as a new list.
 
     From f = g*(1 - q^h): f_i = g_i - g_{i-h}, so g_i = f_i + g_{i-h} with
     g vanishing outside 0 <= i < len(f) - h. The top h entries of f must
-    then equal -g_{i-h}; anything else raises NotDivisible.
+    then equal -g_{i-h}; anything else raises NotDivisible. Each of the e
+    passes divides once, in place.
 
     >>> div_binom([1, 1, -1, -1], 2)
     [1, 1]
+    >>> div_binom([1, -2, 1], 1, 2)
+    [1]
     >>> div_binom([1, 0, 1], 1)
     Traceback (most recent call last):
     ...
     qcongruence.exceptions.NotDivisible: inexact division by 1 - q^1
     """
-    if h < 1:
-        raise ValueError(f"binomial 1 - q^{h}")
-    n = max(len(cs) - h, 0)
-    g = list(cs[:n])
-    for i in range(h, n):
-        g[i] += g[i - h]
-    if list(cs[n:]) != [-g[i - h] if i >= h else 0
-                        for i in range(n, len(cs))]:
-        raise NotDivisible(f"inexact division by 1 - q^{h}")
+    if h < 1 or e < 0:
+        raise ValueError(f"binomial (1 - q^{h})^{e}")
+    g = list(cs)
+    for _ in range(e):
+        n = max(len(g) - h, 0)
+        for i in range(h, n):
+            g[i] += g[i - h]
+        if g[n:] != [-g[i - h] if i >= h else 0 for i in range(n, len(g))]:
+            raise NotDivisible(f"inexact division by 1 - q^{h}")
+        del g[n:]
     return g
+
+
+def fold(cs, d, shift=0):
+    """cs * q^shift reduced mod q^d - 1, as d coefficients: entry i of cs
+    lands in slot (i + shift) mod d. Any shift, including negative ones.
+
+    >>> fold([1, 2, 3, 4, 5], 3)
+    [5, 7, 3]
+    >>> fold([1, 2], 3, -1)
+    [2, 0, 1]
+    """
+    if d < 1:
+        raise ValueError(f"fold mod q^{d} - 1")
+    out = [sum(cs[j::d]) for j in range(d)]
+    s = shift % d
+    return out[-s:] + out[:-s] if s else out
 
 
 def _long_div(cs, ds):
@@ -259,21 +291,9 @@ class IntPoly(Record):
             return IntPoly([other * c for c in self.coeffs])
         if self.is_zero or other.is_zero:
             return IntPoly()
-        return IntPoly(_mul_lists(list(self.coeffs), list(other.coeffs)))
+        return IntPoly(mul_lists(list(self.coeffs), list(other.coeffs)))
 
     __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        out = IntPoly(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
 
     def evaluate(self, x):
         """Horner evaluation at an integer or Fraction.
@@ -369,14 +389,9 @@ class LaurentInt(Record):
         if other.is_zero:
             return self
         s = min(self.shift, other.shift)
-        a = (0,) * (self.shift - s) + self.base.coeffs
-        b = (0,) * (other.shift - s) + other.base.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return LaurentInt(IntPoly(out), s)
+        a = IntPoly((0,) * (self.shift - s) + self.base.coeffs)
+        b = IntPoly((0,) * (other.shift - s) + other.base.coeffs)
+        return LaurentInt(a + b, s)
 
     __radd__ = __add__
 

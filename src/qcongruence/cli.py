@@ -312,6 +312,8 @@ def cmd_verify(args, parser):
             parser.error(f"--{flag}: {exc}")
     if args.d_max > D_MAX_LIMIT:
         parser.error(f"--d-max {args.d_max} exceeds {D_MAX_LIMIT}")
+    if args.jobs < 1:
+        parser.error(f"--jobs {args.jobs}: need at least 1")
 
     tasks = []
     skipped = 0

@@ -94,11 +94,11 @@ def phi_product(tally):
             net[h] = net.get(h, 0) + c
     cs = [1]
     for h in sorted(net):
-        for _ in range(net[h]):
-            cs = mul_binom(cs, h)
+        if net[h] > 0:
+            cs = mul_binom(cs, h, net[h])
     for h in sorted(net, reverse=True):
-        for _ in range(-net[h]):
-            cs = div_binom(cs, h)
+        if net[h] < 0:
+            cs = div_binom(cs, h, -net[h])
     return cs
 
 

@@ -3,22 +3,25 @@ The per-modulus congruence checks, decided modulo a single cyclotomic
 polynomial Phi_d.
 
 The checks avoid inversion entirely. They work in Z[q]/(q^d - 1), where
-multiplying by 1 - q^x is a rotate-and-subtract and exponents fold mod d;
-congruence mod q^d - 1 implies congruence mod Phi_d, so one integer
-remainder at the end settles each check. A binomial 1 - q^x with d | x and
-x != 0 folds to literal zero, which is exact but useless inside a ratio,
-so FoldedRatio pulls those factors out as (1 - q^d) * (x/d) before
-folding: (1 - q^x)/(1 - q^d) is congruent to x/d mod Phi_d for every
-nonzero multiple x of d, both signs. Ratios are then compared by
+multiplying by 1 - q^x is one rotate-and-subtract over the d coefficients,
+and where every power of q and every product of two folded arrays is
+reduced by bigpoly.fold (the products by bigpoly.mul_lists). Congruence
+mod q^d - 1 implies congruence mod Phi_d, so one integer remainder at the
+end settles each check. A binomial 1 - q^x with d | x and x != 0 folds
+to literal zero, which is exact but useless inside a ratio, so FoldedRatio
+pulls those factors out as (1 - q^d) * (x/d) before folding:
+(1 - q^x)/(1 - q^d) is congruent to x/d mod Phi_d for every nonzero
+multiple x of d, both signs. Ratios are then compared by
 cross-multiplication, never by division: matching counts of extracted
 (1 - q^d) factors, and cross products congruent mod Phi_d.
 """
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
-from .bigpoly import IntPoly
+from .bigpoly import IntPoly, fold, mul_lists
 from .constructs import lambda_residue, pair_ok, summand_twist
 from .cyclotomic import phi
 from .exceptions import DomainError
@@ -29,32 +32,12 @@ from .record import Record
 # folded integer arrays
 
 def _fold_mul_binom(arr, d, x, times=1):
-    """arr times (1 - q^x)^times in Z[q]/(q^d - 1); requires d not | x."""
+    """arr times (1 - q^x)^times in Z[q]/(q^d - 1): one rotate-and-subtract
+    per factor. Zero when d | x, since 1 - q^x then folds to 0."""
     s = x % d
     for _ in range(times):
-        out = arr[:]
-        for i, c in enumerate(arr):
-            if c:
-                out[(i + s) % d] -= c
-        arr = out
+        arr = list(map(operator.sub, arr, arr[-s:] + arr[:-s]))
     return arr
-
-
-def _fold_mul(a, b, d):
-    out = [0] * d
-    for i, c in enumerate(a):
-        if c:
-            for j, e in enumerate(b):
-                if e:
-                    out[(i + j) % d] += c * e
-    return out
-
-
-def _rotate(arr, d, s):
-    s %= d
-    if not s:
-        return arr[:]
-    return [arr[(i - s) % d] for i in range(d)]
 
 
 def _rem_phi(arr, d):
@@ -64,12 +47,13 @@ def _rem_phi(arr, d):
 class FoldedRatio:
     """A ratio of binomial products with scalars, folded mod q^d - 1.
 
-    value = scal * (1 - q^d)^gpow * q^rot * num / den
+    value = scal * (1 - q^d)^gpow * num / den
 
-    where num and den are folded arrays of the non-vanishing binomials.
-    A pole (a vanishing binomial in the denominator more often than the
-    numerator, or a literal 1 - q^0 downstairs) is recorded rather than
-    raised; comparisons treat it as a failed check.
+    where num and den are folded arrays of the non-vanishing binomials, and
+    num also carries every power of q. A pole (a vanishing binomial in the
+    denominator more often than the numerator, or a literal 1 - q^0
+    downstairs) is recorded rather than raised; comparisons treat it as a
+    failed check.
     """
 
     def __init__(self, d):
@@ -78,7 +62,6 @@ class FoldedRatio:
         self.d = d
         self.scal = Fraction(1)
         self.gpow = 0
-        self.rot = 0
         self.num = [0] * d
         self.num[0] = 1
         self.den = [0] * d
@@ -90,7 +73,7 @@ class FoldedRatio:
         return self
 
     def mul_qpow(self, e):
-        self.rot = (self.rot + e) % self.d
+        self.num = fold(self.num, self.d, e)
         return self
 
     def mul_binom(self, x, e=1):
@@ -115,7 +98,7 @@ class FoldedRatio:
             return False
         if self.scal == 0 or self.gpow > 0:
             return True
-        return _rem_phi(_rotate(self.num, self.d, self.rot), self.d).is_zero
+        return _rem_phi(self.num, self.d).is_zero
 
 
 def folded_equal(lhs, rhs):
@@ -145,11 +128,9 @@ def folded_equal(lhs, rhs):
     a = lhs.scal * rhs.scal.denominator * lhs.scal.denominator
     b = rhs.scal * rhs.scal.denominator * lhs.scal.denominator
     # a, b are now integers with a/b = lhs.scal/rhs.scal
-    left = _fold_mul(lhs.num, rhs.den, d)
-    right = _fold_mul(rhs.num, lhs.den, d)
-    left = [int(a) * c for c in _rotate(left, d, lhs.rot)]
-    right = [int(b) * c for c in _rotate(right, d, rhs.rot)]
-    diff = [x - y for x, y in zip(left, right)]
+    left = fold(mul_lists(lhs.num, rhs.den), d)
+    right = fold(mul_lists(rhs.num, lhs.den), d)
+    diff = [int(a) * x - int(b) * y for x, y in zip(left, right)]
     if _rem_phi(diff, d).is_zero:
         return True, ""
     return False, "cross products differ mod Phi_d"
@@ -278,20 +259,10 @@ def check_block_sum(r, m, rho, d):
     for k in range(d):
         if k:
             su = _fold_mul_binom(su, d, m * k, rho)
-            x = r + (k - 1) * m
-            if x % d == 0:
-                # the lambda binomial folds to zero exactly
-                pk = [0] * d
-            else:
-                pk = _fold_mul_binom(pk, d, x, rho)
-        x = 2 * m * k + r
-        if x % d == 0:
-            continue
-        term = _fold_mul_binom(pk, d, x)
+            pk = _fold_mul_binom(pk, d, r + (k - 1) * m, rho)
         sgn, e = summand_twist(r, m, rho, k)
-        term = _rotate(term, d, e % d)
-        for i in range(d):
-            su[i] += sgn * term[i]
+        term = fold(_fold_mul_binom(pk, d, 2 * m * k + r), d, e)
+        su = [a + sgn * b for a, b in zip(su, term)]
     rem = _rem_phi(su, d)
     return CheckOutcome(rem.is_zero, f"block_sum(r={r},m={m},rho={rho},d={d})",
                         f"sum of {d} summands", "0 mod Phi_d",

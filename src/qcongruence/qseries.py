@@ -184,26 +184,3 @@ def poch_ratio(r, m, n):
     if m < 1:
         raise DomainError(f"modulus step {m}")
     return pochhammer(r, m, n) * pochhammer(m, m, n) ** -1
-
-
-def qbinom_int(h, k, m=1):
-    """Gaussian binomial [h choose k] in the variable q^m, factored.
-
-    Zero for k > h; one for k = 0.
-
-    >>> qbinom_int(4, 2, 1)
-    Phi_3 * Phi_4
-    >>> qbinom_int(2, 3, 1)
-    0
-    """
-    if h < 0 or k < 0 or m < 1:
-        raise DomainError(f"qbinom_int({h}, {k}, {m})")
-    if k > h:
-        return FactoredQ.zero()
-    tally = {}
-    for j in range(1, k + 1):
-        for d in divisors(m * (h - k + j)):
-            tally[d] = tally.get(d, 0) + 1
-        for d in divisors(m * j):
-            tally[d] = tally.get(d, 0) - 1
-    return FactoredQ(1, 0, tally)

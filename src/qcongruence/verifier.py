@@ -248,11 +248,7 @@ def _times_f(cs, m, rho, j):
     jp = j
     while math.gcd(jp, m) > 1:
         jp //= math.gcd(jp, m)
-    for _ in range(rho):
-        cs = mul_binom(cs, m * j)
-    for _ in range(rho):
-        cs = div_binom(cs, jp)
-    return cs
+    return div_binom(mul_binom(cs, m * j, rho), jp, rho)
 
 
 def _cleared_sum(r, m, rho, n):
@@ -278,14 +274,12 @@ def _cleared_sum(r, m, rho, n):
     for k in range(n0, n):
         if k:
             y = r + (k - 1) * m
-            for _ in range(rho):
-                R = mul_binom(R, abs(y))
+            R = mul_binom(R, abs(y), rho)
             if y < 0:  # 1 - q^y = -q^y (1 - q^-y)
                 sign *= (-1) ** rho
                 shift += rho * y
             try:
-                for _ in range(rho):
-                    R = div_binom(R, m * k)
+                R = div_binom(R, m * k, rho)
             except NotDivisible:
                 nonintegral_k = k
                 break

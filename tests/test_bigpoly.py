@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcongruence.bigpoly import (NEG_INF, IntPoly, LaurentInt, _mul_kronecker,
-                                 _mul_school, div_binom, mul_binom)
+                                 _mul_school, div_binom, fold, mul_binom)
 from qcongruence.exceptions import NotDivisible
 
 coeff_lists = st.lists(st.integers(-10**6, 10**6), min_size=0, max_size=40)
@@ -49,8 +49,6 @@ def test_ring_ops():
     assert f * g == IntPoly(-1, 0, 1)
     assert f + g == IntPoly(0, 2)
     assert f - g == IntPoly(2)
-    assert f ** 3 == IntPoly(1, 3, 3, 1)
-    assert f ** 0 == IntPoly(1)
     assert (f * g).evaluate(3) == 8
 
 
@@ -125,6 +123,45 @@ def test_binom_kernel_rejects_non_multiple(cs, h, data):
         div_binom(prod, h)
     with pytest.raises(NotDivisible):
         div_binom([1] * h, h)
+
+
+@given(coeff_lists, st.integers(1, 12), st.integers(0, 4))
+@settings(max_examples=120, deadline=None)
+def test_binom_kernel_exponent_is_repeated_passes(cs, h, e):
+    once = list(cs)
+    for _ in range(e):
+        once = mul_binom(once, h)
+    assert mul_binom(cs, h, e) == once
+    assert div_binom(once, h, e) == cs
+
+
+@given(st.lists(st.integers(-50, 50), max_size=12), st.integers(1, 6),
+       st.integers(2, 4), st.data())
+@settings(max_examples=120, deadline=None)
+def test_binom_kernel_exponent_rejects_non_multiple(cs, h, e, data):
+    prod = mul_binom(cs, h, e)
+    i = data.draw(st.integers(0, len(prod) - 1))
+    prod[i] += data.draw(st.integers(-5, 5).filter(bool))
+    with pytest.raises(NotDivisible):
+        div_binom(prod, h, e)
+
+
+def fold_oracle(cs, d, shift):
+    """Reduction mod q^d - 1, one coefficient at a time."""
+    out = [0] * d
+    for i, c in enumerate(cs):
+        out[(i + shift) % d] += c
+    return out
+
+
+@given(st.integers(1, 9), st.integers(-30, 30), st.data())
+@settings(max_examples=120, deadline=None)
+def test_fold_matches_naive_reduction(d, shift, data):
+    # the empty list, and lengths below d, equal to d and past 2d
+    for n in (0, d - 1, d, 2 * d + 1):
+        cs = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n,
+                                max_size=n))
+        assert fold(cs, d, shift) == fold_oracle(cs, d, shift)
 
 
 def test_laurent_normalization_and_ops():

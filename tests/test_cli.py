@@ -181,6 +181,18 @@ def test_unwritable_out_exits_2_before_work(where, tmp_path, monkeypatch,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("jobs", [["--jobs", "0"], ["--jobs=-4"]])
+def test_jobs_below_one_exits_2_before_work(jobs, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_run_task", _no_work)
+    with pytest.raises(SystemExit) as err:
+        run_main(["verify", "central", "--rho", "2", "--n", "2..5"] + jobs)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "--jobs" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_timestamp_present_by_default(capsys):
     run_main(["verify", "sun", "--n", "2", "--jobs", "1"])
     assert "generated:" in capsys.readouterr().out

@@ -10,9 +10,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcongruence.cycmodfield import (FoldedRatio, _ratio_into,
-                                     check_block_constant,
+from qcongruence.bigpoly import fold, mul_binom
+from qcongruence.cycmodfield import (FoldedRatio, _fold_mul_binom,
+                                     _ratio_into, check_block_constant,
                                      check_block_decomposition,
                                      check_block_sum, check_mu_consistency,
                                      check_qbinom_reduction,
@@ -74,6 +77,25 @@ def test_folded_equal_matches_sympy_residues():
                     verdicts.append(got)
     # both outcomes occur, so neither a constant True nor False passes
     assert True in verdicts and False in verdicts
+
+
+# ---------------------------------------------------------------------------
+# the folded 1 - q^s multiply
+
+@given(st.integers(2, 12), st.data())
+@settings(max_examples=120, deadline=None)
+def test_folded_binom_matches_unfolded_kernel(d, data):
+    # the unfolded kernel followed by fold is the labelled oracle for the
+    # folded rotate-and-subtract; at s = 0, 1 - q^d folds to zero
+    arr = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=d,
+                             max_size=d))
+    for s in range(d):
+        got = _fold_mul_binom(arr, d, s)
+        if s == 0:
+            assert got == [0] * d
+        assert got == fold(mul_binom(arr, s or d), d)
+        assert _fold_mul_binom(arr, d, s + 3 * d, 2) == fold(
+            mul_binom(arr, s or d, 2), d)
 
 
 # ---------------------------------------------------------------------------

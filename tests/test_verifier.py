@@ -196,10 +196,10 @@ def test_q_congruence_witness_when_ac_does_not_divide(monkeypatch,
         "agrees_with_binomsum": False}
 
 
-def _refuse_h4(cs, h, div_binom=verifier.div_binom):
+def _refuse_h4(cs, h, e=1, div_binom=verifier.div_binom):
     if h == 4:
         raise NotDivisible("forced at h = 4")
-    return div_binom(cs, h)
+    return div_binom(cs, h, e)
 
 
 def test_q_congruence_witness_for_a_nonintegral_summand(monkeypatch,
