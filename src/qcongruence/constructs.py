@@ -26,7 +26,6 @@ congruence and its value at 1 equals n_alpha.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .exceptions import DomainError
 from .qseries import FactoredQ
@@ -161,6 +160,9 @@ def expand_product(f):
 def n_alpha(r, m, n):
     """Numerator of n * |binomial(-alpha, n)| for alpha = r/m not integral.
 
+    binomial(-alpha, n) = prod_{j<n} -(r + jm) / (m^n n!), so this is
+    n |prod_{j<n} (r + jm)| over m^n n!, reduced once by their gcd.
+
     >>> n_alpha(1, 2, 3)
     15
     >>> n_alpha(1, 2, 1)
@@ -168,15 +170,15 @@ def n_alpha(r, m, n):
     >>> n_alpha(2, 3, 2)
     10
     """
-    if m < 1 or Fraction(r, m).denominator == 1:
+    if m < 1 or r % m == 0:
         raise DomainError(f"alpha = {r}/{m} is an integer")
     if n < 1:
         raise DomainError(f"length {n}")
-    alpha = Fraction(r, m)
-    b = Fraction(1)
+    num = n
     for j in range(n):
-        b *= (-alpha - j) / (j + 1)
-    return abs(n * b).numerator
+        num *= r + j * m
+    num = abs(num)
+    return num // math.gcd(num, m ** n * math.factorial(n))
 
 
 def negative_tail(r, m, n):

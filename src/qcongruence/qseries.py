@@ -107,9 +107,15 @@ class FactoredQ(Record):
         )
 
     def value_at_one(self):
-        """Evaluate at q = 1 as an exact Fraction.
+        """Evaluate at q = 1 as a Fraction in lowest terms.
 
         A positive net Phi_1 exponent gives 0; a negative one is a pole.
+        Otherwise every index is at least 2 and Phi_d(1) is a positive
+        integer, so the positive exponents multiply into one numerator and
+        the negative ones into one denominator, reduced once.
+
+        >>> FactoredQ(-1, 5, {2: 2, 4: -1, 6: 3}).value_at_one()
+        Fraction(-2, 1)
         """
         if self.is_zero:
             return Fraction(0)
@@ -118,10 +124,13 @@ class FactoredQ(Record):
             return Fraction(0)
         if e1 < 0:
             raise DomainError("pole at q = 1")
-        out = Fraction(self.sign)
+        num, den = self.sign, 1
         for d, e in self.factors:
-            out *= Fraction(phi_at_one(d)) ** e
-        return out
+            if e > 0:
+                num *= phi_at_one(d) ** e
+            else:
+                den *= phi_at_one(d) ** -e
+        return Fraction(num, den)
 
     def expand(self):
         """Expand to a LaurentInt: sign * q^qexp times the cyclotomic

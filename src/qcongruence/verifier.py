@@ -159,16 +159,24 @@ def poly_full(p):
 
 def _binomial_sum(r, m, rho, n):
     """(plain, scaled): sums of (2k+alpha) and (2mk+r) times
-    binom(-alpha,k)^rho over k < n, as exact Fractions."""
-    alpha = Fraction(r, m)
-    plain = Fraction(0)
-    scaled = Fraction(0)
-    b = Fraction(1)
+    binom(-alpha,k)^rho over k < n, each a Fraction in lowest terms.
+
+    binom(-alpha, k) = num_k / den_k with num_k = prod_{j<k} -(r + jm) and
+    den_k = m^k k!, so the sum runs in integers over den_k^rho: each step
+    rescales the total by (den_k / den_{k-1})^rho = (mk)^rho, and scaled
+    is normalised once, at the end. Since 2k + alpha = (2mk + r) / m,
+    plain is scaled over m.
+    """
+    num = den = 1
+    total = 0
     for k in range(n):
-        plain += (2 * k + alpha) * b ** rho
-        scaled += (2 * m * k + r) * b ** rho
-        b *= Fraction(-alpha - k, k + 1)
-    return plain, scaled
+        if k:
+            num *= -(r + (k - 1) * m)
+            den *= m * k
+            total *= (m * k) ** rho
+        total += (2 * m * k + r) * num ** rho
+    scaled = Fraction(total, den ** rho)
+    return scaled / m, scaled
 
 
 def verify_binomial_sum(r, m, rho, n):
@@ -199,25 +207,31 @@ def _central_sum(rho, n):
     return total
 
 
+def _central_bridge(n):
+    """Whether binom(-1/2, k) (-4)^k = binom(2k, k) for every k < n.
+
+    Both sides follow the same first order recurrence, so they are carried
+    forward together instead of recomputed. binom(-1/2, k) is num / den
+    with num = prod_{j<k} -(2j + 1) and den = 2^k k!, so each k compares
+    the integer cross-products num (-4)^k and binom(2k, k) den.
+    """
+    num = den = central = pow4 = 1
+    for k in range(n):
+        if num * pow4 != central * den:
+            return False
+        num *= -(2 * k + 1)
+        den *= 2 * (k + 1)
+        central = central * (2 * (2 * k + 1)) // (k + 1)
+        pow4 *= -4
+    return True
+
+
 def verify_central_binomial(rho, n):
     _require("central", rho, n)
     total = _central_sum(rho, n)
     modulus = 2 ** (rho - 2) * n * math.comb(2 * n, n)
     ok = total % modulus == 0
-    # bridge between the central and half-integer binomials: both sides of
-    # binom(-1/2, k) * (-4)^k = binom(2k, k) follow the same first order
-    # recurrence, so carry them forward together instead of recomputing
-    bridge = True
-    half = Fraction(1)
-    central = 1
-    pow4 = 1
-    for k in range(n):
-        if half * pow4 != central:
-            bridge = False
-            break
-        half = half * (Fraction(-1, 2) - k) / (k + 1)
-        central = central * (2 * (2 * k + 1)) // (k + 1)
-        pow4 *= -4
+    bridge = _central_bridge(n)
     params = {"rho": rho, "n": n}
     witness = None
     if not (ok and bridge):
@@ -369,7 +383,7 @@ def verify_specialization_at_one(r, m, rho, n):
 
     cleared1 = data["cleared"].base.evaluate(1)
     b1 = data["b_at_one"]
-    value_match = Fraction(b1) ** rho * scaled == cleared1
+    value_match = b1 ** rho * scaled == cleared1
     ac1 = data["ac_factored"].value_at_one()
     value_id = ac1 == modulus
     content_ok = data["AC"].content() == 1

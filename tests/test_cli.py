@@ -391,3 +391,25 @@ def test_skips_at_the_domain_boundary_pinned(jobs, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_SHA256
     assert json.loads(out.read_text())["counts"] == {
         "pass": 679, "fail": 0, "skip": 783}
+
+
+# Single claims at the grid ceilings (r 49 is the largest r coprime to m 10).
+# Hashes taken before the binomial sums, n_alpha, value_at_one and the
+# central bridge moved from a Fraction per step to integer recurrences.
+CEILING_SHA256 = {
+    "binomsum --r 49 --m 10 --rho 6 --n 1..100":
+        "06d64f9e4482842ce4a02b3942934e9465b685d5c3c7f6eebccfd6a8f095884b",
+    "central --rho 1..6 --n 1..100":
+        "8af76a3a4ad858ab77edad4a2883a39f5ac4055441ed88037938c7d8066bafa2",
+    "identities --r 49 --m 10 --n 1..100":
+        "dd41722315f0c79decb25f4786d558f1143f2714d1c68b010deb5f32a2965563",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CEILING_SHA256),
+                         ids=lambda spec: spec.split()[0])
+def test_ceiling_report_bytes_pinned(spec, tmp_path):
+    out = tmp_path / "report.json"
+    assert run_main(["verify", *spec.split(), "--jobs", "1", "--format",
+                     "json", "--no-timestamp", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CEILING_SHA256[spec]
