@@ -26,7 +26,7 @@ The claims verified here, each as a pure function returning a Verdict:
                              is data, not a bug
 
 The rational congruence semantics: a/b is 0 mod N iff gcd(b, N) = 1 and
-N divides a. RationalModInt carries that meaning.
+N divides a. _zero_mod carries that meaning.
 
 The q-congruence path never expands term by term. It steps
 R_k = b_poly^rho ((q^r;q^m)_k / (q^m;q^m)_k)^rho from k to k + 1 by exact
@@ -46,7 +46,6 @@ from fractions import Fraction
 from .bigpoly import IntPoly, LaurentInt, div_binom, mul_binom
 from .constructs import (a_poly, b_poly, c_poly, expand_product, n_alpha,
                          negative_tail, pair_ok, s_set, summand_twist)
-from .cyclotomic import phi_at_one
 from .exceptions import DomainError, NotDivisible
 from .qseries import FactoredQ, poch_ratio
 from .record import Record
@@ -93,25 +92,13 @@ class Verdict(Record):
         return self.passed
 
 
-class RationalModInt(Record):
-    """An exact rational against a positive integer modulus."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value, modulus):
-        if modulus < 1:
-            raise DomainError(f"modulus {modulus}")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "modulus", modulus)
-
-    @property
-    def defined(self):
-        """The congruence class exists iff the denominator is a unit."""
-        return math.gcd(self.value.denominator, self.modulus) == 1
-
-    @property
-    def congruent_zero(self):
-        return self.defined and self.value.numerator % self.modulus == 0
+def _zero_mod(value, modulus):
+    """Whether the Fraction value is 0 mod the integer modulus >= 1. In
+    lowest terms, modulus | numerator already makes the denominator a unit.
+    """
+    if modulus < 1:
+        raise DomainError(f"modulus {modulus}")
+    return value.numerator % modulus == 0
 
 
 def _ord2(x):
@@ -139,7 +126,7 @@ def poly_digest(p):
     return {
         "degree": None if p.is_zero else p.degree,
         "content": p.content(),
-        "at1": p.evaluate(1),
+        "at1": sum(p.coeffs),
         "at2": p.evaluate(2),
     }
 
@@ -183,28 +170,31 @@ def verify_binomial_sum(r, m, rho, n):
     _require("binomsum", r, m, rho, n)
     plain, scaled = _binomial_sum(r, m, rho, n)
     modulus = n_alpha(r, m, n)
-    first = RationalModInt(plain, modulus)
-    second = RationalModInt(scaled, modulus)
-    ok = first.congruent_zero
-    agree = ok == second.congruent_zero and math.gcd(m, modulus) == 1
+    ok = _zero_mod(plain, modulus)
+    agree = ok == _zero_mod(scaled, modulus) and math.gcd(m, modulus) == 1
     params = {"r": r, "m": m, "rho": rho, "n": n}
     witness = None
     if not (ok and agree):
         witness = {"sum": str(plain), "scaled_sum": str(scaled),
                    "modulus": modulus,
-                   "denominator_unit": first.defined,
+                   "denominator_unit":
+                       math.gcd(plain.denominator, modulus) == 1,
                    "forms_agree": agree}
     return Verdict("binomsum", params, ok and agree,
                    f"sum = {plain}", f"0 mod {modulus}", witness)
 
 
-def _central_sum(rho, n):
-    total = 0
+def _central(n):
+    """binom(2k, k) for k = 0, 1, ..., n - 1, by its recurrence."""
     c = 1
     for k in range(n):
-        total += (4 * k + 1) * c ** rho * (-4) ** (rho * (n - 1 - k))
+        yield c
         c = c * (2 * (2 * k + 1)) // (k + 1)
-    return total
+
+
+def _central_sum(rho, n):
+    return sum((4 * k + 1) * c ** rho * (-4) ** (rho * (n - 1 - k))
+               for k, c in enumerate(_central(n)))
 
 
 def _central_bridge(n):
@@ -215,13 +205,12 @@ def _central_bridge(n):
     with num = prod_{j<k} -(2j + 1) and den = 2^k k!, so each k compares
     the integer cross-products num (-4)^k and binom(2k, k) den.
     """
-    num = den = central = pow4 = 1
-    for k in range(n):
+    num = den = pow4 = 1
+    for k, central in enumerate(_central(n)):
         if num * pow4 != central * den:
             return False
         num *= -(2 * k + 1)
         den *= 2 * (k + 1)
-        central = central * (2 * (2 * k + 1)) // (k + 1)
         pow4 *= -4
     return True
 
@@ -298,8 +287,6 @@ def _cleared_sum(r, m, rho, n):
                 nonintegral_k = k
                 break
         x = 2 * m * k + r
-        if x == 0:
-            continue
         twist, e = summand_twist(r, m, rho, k)
         if x < 0:  # [x]_q = -q^x [-x]_q
             twist, e = -twist, e + x
@@ -313,7 +300,7 @@ def _cleared_sum(r, m, rho, n):
 
 @functools.lru_cache(maxsize=1)
 def _qcong_data(r, m, rho, n):
-    """Everything verify_q_congruence and the q = 1 specialization need.
+    """What verify_q_congruence and the q = 1 specialization share.
 
     The cleared sum is sum_{k<n} (-1)^{rho k} q^{e_k} [2mk+r]_q R_k, with
     e_k from summand_twist and R_k = B^rho ((q^r;q^m)_k / (q^m;q^m)_k)^rho
@@ -347,7 +334,6 @@ def _qcong_data(r, m, rho, n):
         "ac_factored": ac_f,
         "remainder": cleared.base.rem_monic(AC),
         "nonintegral_k": nonintegral_k,
-        "b_at_one": b_poly(r, m, n).value_at_one(),
     })
 
 
@@ -374,6 +360,17 @@ def verify_q_congruence(r, m, rho, n, full_polys=False):
     )
 
 
+def _prime_support_divides(value, m):
+    """Whether every prime factor of the integer value >= 1 divides m. At
+    B(1), a product of Phi_d(1) that are each 1 or a prime, this is
+    Phi_d(1) = 1 or Phi_d(1) | m for every factor Phi_d of B."""
+    g = math.gcd(value, m)
+    while g > 1:
+        value //= g
+        g = math.gcd(value, m)
+    return value == 1
+
+
 def verify_specialization_at_one(r, m, rho, n):
     _require("qcong", r, m, rho, n)
     data = _qcong_data(r, m, rho, n)
@@ -381,20 +378,17 @@ def verify_specialization_at_one(r, m, rho, n):
     plain, scaled = _binomial_sum(r, m, rho, n)
     modulus = n_alpha(r, m, n)
 
-    cleared1 = data["cleared"].base.evaluate(1)
-    b1 = data["b_at_one"]
+    cleared1 = sum(data["cleared"].base.coeffs)
+    b1 = b_poly(r, m, n).value_at_one().numerator  # B has no denominator
     value_match = b1 ** rho * scaled == cleared1
     ac1 = data["ac_factored"].value_at_one()
     value_id = ac1 == modulus
     content_ok = data["AC"].content() == 1
-    support_ok = all(
-        phi_at_one(d) == 1 or m % phi_at_one(d) == 0
-        for d, _ in b_poly(r, m, n).factors
-    )
+    support_ok = _prime_support_divides(b1, m)
     # an exact quotient H has H(1) A(1)C(1) = cleared(1), so A*C | cleared
     # settles the q = 1 divisibility too
     divides = data["remainder"].is_zero
-    same_as_sum = divides == RationalModInt(plain, modulus).congruent_zero
+    same_as_sum = divides == _zero_mod(plain, modulus)
 
     ok = all((value_match, value_id, content_ok, support_ok, divides,
               same_as_sum))
@@ -447,19 +441,23 @@ def verify_value_identity(r, m, n):
 # 2-adic bounds and the open conjecture
 
 
+def _term_ord2(c, rho, j):
+    """ord_2 of c^rho 4^(rho j), without forming that power."""
+    return rho * (_ord2(c) + 2 * j)
+
+
 def verify_two_adic_bounds(rho, n):
     _require("2adic", rho, n)
     bad = None
-    target = _ord2(n * math.comb(2 * n, n))
-    c = 1
-    for k in range(n):
+    central = list(_central(n + 1))
+    target = _ord2(n * central[n])
+    for k, c in enumerate(central[:n]):
         ok_k = target <= n - k + _ord2(c)
-        final = _ord2(c ** rho * 4 ** (rho * (n - 1 - k))) >= (rho - 2) + target
+        final = _term_ord2(c, rho, n - 1 - k) >= (rho - 2) + target
         if not (ok_k and final):
             bad = {"k": k, "order_bound": ok_k, "final_bound": final}
             break
-        c = c * (2 * (2 * k + 1)) // (k + 1)
-    even_ok = all(math.comb(2 * k, k) % 2 == 0 for k in range(1, n + 1))
+    even_ok = all(c % 2 == 0 for c in central[1:])
     ok = bad is None and even_ok
     params = {"rho": rho, "n": n}
     witness = None
@@ -474,11 +472,9 @@ def verify_two_adic_bounds(rho, n):
 def verify_sun_conjecture(n):
     _require("sun", n)
     total = 0
-    c = 1  # binom(2k,k)
     t = 1  # binom(3k,k)
-    for k in range(n):
+    for k, c in enumerate(_central(n)):
         total += (5 * k + 1) * c * c * t * (-192) ** (n - 1 - k)
-        c = c * (2 * (2 * k + 1)) // (k + 1)
         t = t * 3 * (3 * k + 1) * (3 * k + 2) // ((2 * k + 1) * (2 * k + 2))
     modulus = n * math.comb(2 * n, n)
     ok = total % modulus == 0

@@ -13,7 +13,7 @@ exactly once in its file fails the script before anything runs, so a
 refactor that moves the code has to update this table. Hypothesis runs
 with a fixed seed, so a result repeats from run to run.
 
-The whole table (27 mutants) takes about 50 s on a 2-core host with
+The whole table (30 mutants) takes about 45 s on a 2-core host with
 Python 3.11; keep it under 90 s, inside CI's two-minute step. pytest
 does not collect this file (its testpaths pick up test_*.py only). A new
 oracle adds its mutants here.
@@ -44,6 +44,7 @@ DOMAIN_RULE = ("tests/test_domains.py::"
 DIVISION = "tests/test_bigpoly.py::test_division_matches_sympy"
 AC_WITNESS = ("tests/test_verifier.py::"
               "test_q_congruence_witness_when_ac_does_not_divide")
+INTEGER_ORACLE = "tests/test_integer_oracles.py::"
 
 # (name, file, exact snippet, replacement, pytest node ids)
 MUTANTS = [
@@ -143,6 +144,16 @@ MUTANTS = [
     ("central bridge drops the sign of -(2k + 1)", VERIFIER,
      "num *= -(2 * k + 1)", "num *= 2 * k + 1",
      [FRACTION_ORACLE + "test_central_bridge_matches_fraction_oracle"]),
+    ("_central yields after its update", VERIFIER,
+     "        yield c\n        c = c * (2 * (2 * k + 1)) // (k + 1)\n",
+     "        c = c * (2 * (2 * k + 1)) // (k + 1)\n        yield c\n",
+     [INTEGER_ORACLE + "test_central_matches_math_comb"]),
+    ("2-adic term order drops the factor 2", VERIFIER,
+     "return rho * (_ord2(c) + 2 * j)", "return rho * (_ord2(c) + j)",
+     [INTEGER_ORACLE + "test_term_order_matches_big_power_oracle"]),
+    ("prime-support loop divides only once", VERIFIER,
+     "    while g > 1:\n        value //= g", "    if g > 1:\n        value //= g",
+     [INTEGER_ORACLE + "test_prime_support_matches_per_factor_oracle"]),
 ]
 
 

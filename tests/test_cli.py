@@ -395,7 +395,9 @@ def test_skips_at_the_domain_boundary_pinned(jobs, tmp_path):
 
 # Single claims at the grid ceilings (r 49 is the largest r coprime to m 10).
 # Hashes taken before the binomial sums, n_alpha, value_at_one and the
-# central bridge moved from a Fraction per step to integer recurrences.
+# central bridge moved from a Fraction per step to integer recurrences;
+# the 2adic and sun hashes before binom(2k, k) became one shared recurrence
+# and the 2-adic bounds moved to valuations.
 CEILING_SHA256 = {
     "binomsum --r 49 --m 10 --rho 6 --n 1..100":
         "06d64f9e4482842ce4a02b3942934e9465b685d5c3c7f6eebccfd6a8f095884b",
@@ -403,6 +405,10 @@ CEILING_SHA256 = {
         "8af76a3a4ad858ab77edad4a2883a39f5ac4055441ed88037938c7d8066bafa2",
     "identities --r 49 --m 10 --n 1..100":
         "dd41722315f0c79decb25f4786d558f1143f2714d1c68b010deb5f32a2965563",
+    "2adic --rho 1..6 --n 1..100":
+        "816a5c92851206a1104b1b88075b908cd14dfe23688b67c7651bde96506f257f",
+    "sun --n 1..100":
+        "8b33323337f7b2b7cd943d1a41f777bfd365b47a96cce41d1385f746308f9ac0",
 }
 
 

@@ -14,7 +14,7 @@ from qcongruence import verifier
 from qcongruence.bigpoly import IntPoly, LaurentInt
 from qcongruence.exceptions import DomainError, NotDivisible
 from qcongruence.qseries import FactoredQ
-from qcongruence.verifier import (RationalModInt, Verdict, poly_digest,
+from qcongruence.verifier import (Verdict, _zero_mod, poly_digest,
                                   poly_full, verify_binomial_sum,
                                   verify_central_binomial,
                                   verify_q_congruence,
@@ -40,17 +40,25 @@ FROZEN_QCONG_BIG = {
 }
 
 
-def test_rational_mod_int():
-    x = RationalModInt(Fraction(225, 128), 15)
-    assert x.defined
-    assert x.congruent_zero
-    y = RationalModInt(Fraction(1, 3), 6)  # 3 shares a factor with 6
-    assert not y.defined
-    assert not y.congruent_zero
-    z = RationalModInt(Fraction(7, 2), 15)
-    assert z.defined and not z.congruent_zero
+def _zero_mod_by_definition(value, modulus):
+    """Test oracle: a/b is 0 mod N iff gcd(b, N) = 1 and N divides a."""
+    return (math.gcd(value.denominator, modulus) == 1
+            and value.numerator % modulus == 0)
+
+
+def test_zero_mod():
+    assert _zero_mod(Fraction(225, 128), 15)
+    assert not _zero_mod(Fraction(1, 3), 6)  # 3 shares a factor with 6
+    assert not _zero_mod(Fraction(7, 2), 15)
     with pytest.raises(DomainError):
-        RationalModInt(Fraction(1), 0)
+        _zero_mod(Fraction(1), 0)
+    # the unit-denominator half of the definition is implied in lowest terms
+    for a in range(-40, 41):
+        for b in range(1, 25):
+            for modulus in range(1, 25):
+                x = Fraction(a, b)
+                assert _zero_mod(x, modulus) == _zero_mod_by_definition(
+                    x, modulus), (x, modulus)
 
 
 def test_verdict_protocol():
@@ -218,6 +226,22 @@ def test_q_congruence_witness_for_a_nonintegral_summand(monkeypatch,
         "value_match": False, "value_identity": True, "content_one": True,
         "b_prime_support_divides_m": True, "quotient_at_1": False,
         "agrees_with_binomsum": False}
+
+
+def test_one_b_poly_per_q_congruence_instance(monkeypatch,
+                                              fresh_qcong_cache):
+    calls = []
+    b_poly = verifier.b_poly
+
+    def counting(*args):
+        calls.append(args)
+        return b_poly(*args)
+
+    monkeypatch.setattr(verifier, "b_poly", counting)
+    assert verify_q_congruence(1, 2, 2, 4).passed
+    assert verify_specialization_at_one(1, 2, 2, 4).passed
+    assert calls == [(1, 2, 4)]
+    assert "b_at_one" not in verifier._qcong_data(1, 2, 2, 4)
 
 
 def test_no_resume_from_a_nonintegral_build(monkeypatch, fresh_qcong_cache):
