@@ -14,12 +14,12 @@ code 3 as data, not as a suite failure.
 Grid flags --r --m --rho --n take a single integer or an inclusive range
 `a..b`; a range with a negative start is attached with `=`, as in
 `--r=-6..6`. Each flag, --d-max and `show --d` have ceilings (GRID_LIMITS,
-D_MAX_LIMIT, SHOW_D_LIMIT); a value above one exits with code 2 before any
-work starts. Instances outside a claim's domain (verifier.DOMAINS; for
-`lemmas`, a pair outside constructs.pair_ok) are skipped and counted, never
-errored; `show` refuses a pair outside pair_ok as a usage error. Exit codes:
-0 all pass, 1 a proven claim failed, 2 usage error, 3 conjecture
-counterexample.
+D_MAX_LIMIT, SHOW_D_LIMIT); a value above one, or a --d-max below 2, exits
+with code 2 before any work starts. Instances outside a claim's domain
+(verifier.DOMAINS; for `lemmas`, a pair outside constructs.pair_ok) are
+skipped and counted, never errored; `show` refuses a pair outside pair_ok
+as a usage error. Exit codes: 0 all pass, 1 a proven claim failed, 2 usage
+error, 3 conjecture counterexample.
 
 Reports are deterministic for a fixed spec: iteration is in sorted
 parameter order, results are emitted in task order regardless of worker
@@ -312,6 +312,8 @@ def cmd_verify(args, parser):
             parser.error(f"--{flag}: {exc}")
     if args.d_max > D_MAX_LIMIT:
         parser.error(f"--d-max {args.d_max} exceeds {D_MAX_LIMIT}")
+    if args.d_max < 2:
+        parser.error(f"--d-max {args.d_max}: need at least 2")
     if args.jobs < 1:
         parser.error(f"--jobs {args.jobs}: need at least 1")
 
@@ -393,8 +395,8 @@ def build_parser():
                            help=f"integer or inclusive range a..b; "
                                 f"|value| <= {limit}, at most {most} values")
     p_ver.add_argument("--d-max", type=int, default=20,
-                       help=f"bound for per-modulus checks (default 20, "
-                            f"at most {D_MAX_LIMIT})")
+                       help=f"bound for per-modulus checks, 2..{D_MAX_LIMIT} "
+                            f"(default 20)")
     p_ver.add_argument("--format", choices=["text", "json", "csv"],
                        default="text")
     p_ver.add_argument("--jobs", type=int, default=os.cpu_count() or 1)

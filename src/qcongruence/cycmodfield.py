@@ -12,8 +12,11 @@ to literal zero, which is exact but useless inside a ratio, so FoldedRatio
 pulls those factors out as (1 - q^d) * (x/d) before folding:
 (1 - q^x)/(1 - q^d) is congruent to x/d mod Phi_d for every nonzero
 multiple x of d, both signs. Ratios are then compared by
-cross-multiplication, never by division: matching counts of extracted
-(1 - q^d) factors, and cross products congruent mod Phi_d.
+cross-multiplication, never by division: a positive count of extracted
+(1 - q^d) factors makes a side zero, and two nonzero sides are equal when
+their cross products are congruent mod Phi_d. A negative count is a pole
+at Phi_d. No claim's domain (m >= 2, gcd(r, m) = gcd(d, m) = 1) reaches
+one, nor a 1 - q^0 in a denominator, so both raise DomainError.
 """
 from __future__ import annotations
 
@@ -45,31 +48,36 @@ def _rem_phi(arr, d):
 
 
 class FoldedRatio:
-    """A ratio of binomial products with scalars, folded mod q^d - 1.
+    """A ratio of binomial products with rational scalars, folded mod
+    q^d - 1.
 
-    value = scal * (1 - q^d)^gpow * num / den
+    value = (1 - q^d)^gpow * num / den
 
-    where num and den are folded arrays of the non-vanishing binomials, and
-    num also carries every power of q. A pole (a vanishing binomial in the
-    denominator more often than the numerator, or a literal 1 - q^0
-    downstairs) is recorded rather than raised; comparisons treat it as a
-    failed check.
+    where num and den are folded integer arrays: num holds the
+    non-vanishing numerator binomials, every power of q and the scalars'
+    numerators, den the non-vanishing denominator binomials and the
+    scalars' denominators. Both are units mod Phi_d unless a scalar is 0,
+    which zeroes num. A 1 - q^0 in a denominator raises DomainError, and so
+    does deciding a ratio whose (1 - q^d) count is negative: a pole at
+    Phi_d, which no claim's domain reaches.
     """
+
+    __slots__ = ("d", "gpow", "num", "den")
 
     def __init__(self, d):
         if d < 2:
             raise DomainError(f"modulus index {d}")
         self.d = d
-        self.scal = Fraction(1)
         self.gpow = 0
         self.num = [0] * d
         self.num[0] = 1
         self.den = [0] * d
         self.den[0] = 1
-        self.pole = False
 
     def mul_scalar(self, c):
-        self.scal *= c
+        c = Fraction(c)
+        self.num = [c.numerator * a for a in self.num]
+        self.den = [c.denominator * a for a in self.den]
         return self
 
     def mul_qpow(self, e):
@@ -82,11 +90,9 @@ class FoldedRatio:
         if x % d == 0:
             # Vanishing mod q^d - 1: extract as (1 - q^d) * (x/d).
             if x == 0 and e < 0:
-                self.pole = True
-                return self
+                raise DomainError("1 - q^0 in a denominator")
             self.gpow += e
-            self.scal *= Fraction(x, d) ** e
-            return self
+            return self.mul_scalar(Fraction(x // d) ** e)
         if e > 0:
             self.num = _fold_mul_binom(self.num, d, x, e)
         elif e < 0:
@@ -94,19 +100,19 @@ class FoldedRatio:
         return self
 
     def is_congruent_zero(self):
-        if self.pole or self.gpow < 0:
-            return False
-        if self.scal == 0 or self.gpow > 0:
-            return True
-        return _rem_phi(self.num, self.d).is_zero
+        if self.gpow < 0:
+            raise DomainError(f"pole at Phi_{self.d}: (1 - q^d) count "
+                              f"{self.gpow}")
+        return self.gpow > 0 or _rem_phi(self.num, self.d).is_zero
 
 
 def folded_equal(lhs, rhs):
     """Decide lhs == rhs in Q[q]/Phi_d by cross-multiplication.
 
-    Returns (ok, detail). Sides with positive net (1 - q^d) count or a zero
-    scalar are zero in the field; two nonzero sides must agree in gpow and
-    have congruent cross products.
+    Returns (ok, detail). A side with a positive (1 - q^d) count or a zero
+    scalar is zero in the field; two nonzero sides both have count 0, and
+    are equal when their cross products are congruent. A negative count on
+    either side raises DomainError.
 
     >>> q = FoldedRatio(5).mul_qpow(1)
     >>> folded_equal(q, FoldedRatio(5).mul_qpow(6))
@@ -117,21 +123,13 @@ def folded_equal(lhs, rhs):
     if lhs.d != rhs.d:
         raise DomainError("mixed moduli")
     d = lhs.d
-    if lhs.pole or rhs.pole or lhs.gpow < 0 or rhs.gpow < 0:
-        return False, "pole at Phi_d"
     lz = lhs.is_congruent_zero()
     rz = rhs.is_congruent_zero()
     if lz or rz:
         return (lz and rz), ("both vanish" if lz and rz else "one side vanishes")
-    if lhs.gpow != rhs.gpow:
-        return False, f"(1-q^d) counts differ: {lhs.gpow} vs {rhs.gpow}"
-    a = lhs.scal * rhs.scal.denominator * lhs.scal.denominator
-    b = rhs.scal * rhs.scal.denominator * lhs.scal.denominator
-    # a, b are now integers with a/b = lhs.scal/rhs.scal
     left = fold(mul_lists(lhs.num, rhs.den), d)
     right = fold(mul_lists(rhs.num, lhs.den), d)
-    diff = [int(a) * x - int(b) * y for x, y in zip(left, right)]
-    if _rem_phi(diff, d).is_zero:
+    if _rem_phi(list(map(operator.sub, left, right)), d).is_zero:
         return True, ""
     return False, "cross products differ mod Phi_d"
 
@@ -165,13 +163,10 @@ def _require_coprime(r, m, d, *bounds):
 def _scalar_c(r, m, d, s):
     """The block scalar: rising factorial of w/m over s steps divided by s!,
     where w = (r + lambda*m)/d is the integer the vanishing binomial
-    contributes."""
-    lam = lambda_residue(r, m, d)
-    w = (r + lam * m) // d
-    out = Fraction(1)
-    for i in range(s):
-        out *= Fraction(w, m) + i
-    return out / math.factorial(s)
+    contributes; that is prod_{i<s} (w + i*m) / (m^s s!)."""
+    w = (r + lambda_residue(r, m, d) * m) // d
+    return Fraction(math.prod(w + i * m for i in range(s)),
+                    m ** s * math.factorial(s))
 
 
 def check_block_constant(r, m, d):

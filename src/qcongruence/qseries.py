@@ -8,9 +8,10 @@ usual monic cyclotomics, and each positive x contributes exactly one 1 - q).
 So instead of expanding we carry a FactoredQ: a sign, a power of q, and a
 map d -> e of cyclotomic exponents (e may be negative in ratios). A factor
 with x < 0 is normalized through 1 - q^x = -q^x (1 - q^{-x}), contributing
-to the sign and the q-power, and a factor with x = 0 collapses the whole
-product to the distinguished Zero value. The representation is canonical
-(sorted, no zero exponents), so equality is structural.
+to the sign and the q-power. A factor with x = 0 is 1 - q^0 = 0, which no
+claim's domain (m >= 2, gcd(r, m) = 1) produces, so it raises DomainError
+rather than being carried. The representation is canonical (sorted, no
+zero exponents), so equality is structural.
 
 Expanding runs the splitting backwards: the tally turns into net binomial
 exponents, and the product is multiplied out by exact 1 - q^h passes
@@ -27,32 +28,24 @@ from .record import Record
 
 
 class FactoredQ(Record):
-    __slots__ = ("sign", "qexp", "factors", "is_zero")
+    __slots__ = ("sign", "qexp", "factors")
 
-    def __init__(self, sign=1, qexp=0, factors=(), is_zero=False):
-        if is_zero:
-            sign, qexp, factors = 1, 0, ()
-        else:
-            if sign not in (1, -1):
-                raise DomainError(f"sign {sign}")
-            if isinstance(factors, dict):
-                factors = factors.items()
-            factors = tuple(sorted((d, e) for d, e in factors if e))
-            for d, _ in factors:
-                if d < 1:
-                    raise DomainError(f"cyclotomic index {d}")
+    def __init__(self, sign=1, qexp=0, factors=()):
+        if sign not in (1, -1):
+            raise DomainError(f"sign {sign}")
+        if isinstance(factors, dict):
+            factors = factors.items()
+        factors = tuple(sorted((d, e) for d, e in factors if e))
+        for d, _ in factors:
+            if d < 1:
+                raise DomainError(f"cyclotomic index {d}")
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "qexp", qexp)
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "is_zero", is_zero)
 
     @classmethod
     def one(cls):
         return cls()
-
-    @classmethod
-    def zero(cls):
-        return cls(is_zero=True)
 
     def __repr__(self):
         """
@@ -61,8 +54,6 @@ class FactoredQ(Record):
         >>> FactoredQ.one()
         1
         """
-        if self.is_zero:
-            return "0"
         parts = []
         if self.qexp:
             parts.append(f"q^{self.qexp}")
@@ -83,23 +74,15 @@ class FactoredQ(Record):
     @property
     def is_laurent_poly(self):
         """True when no cyclotomic appears with negative exponent."""
-        return self.is_zero or all(e >= 0 for _, e in self.factors)
+        return all(e >= 0 for _, e in self.factors)
 
     def __mul__(self, other):
-        if self.is_zero or other.is_zero:
-            return FactoredQ.zero()
         tally = dict(self.factors)
         for d, e in other.factors:
             tally[d] = tally.get(d, 0) + e
         return FactoredQ(self.sign * other.sign, self.qexp + other.qexp, tally)
 
     def __pow__(self, e):
-        if self.is_zero:
-            if e == 0:
-                return FactoredQ.one()
-            if e < 0:
-                raise ZeroDivisionError("inverse of the zero product")
-            return self
         return FactoredQ(
             self.sign if e % 2 else 1,
             self.qexp * e,
@@ -117,8 +100,6 @@ class FactoredQ(Record):
         >>> FactoredQ(-1, 5, {2: 2, 4: -1, 6: 3}).value_at_one()
         Fraction(-2, 1)
         """
-        if self.is_zero:
-            return Fraction(0)
         e1 = self.exponent_of(1)
         if e1 > 0:
             return Fraction(0)
@@ -144,15 +125,14 @@ class FactoredQ(Record):
         """
         if not self.is_laurent_poly:
             raise DomainError("negative cyclotomic exponents remain")
-        if self.is_zero:
-            return LaurentInt(IntPoly(), 0)
         cs = phi_product(dict(self.factors))
         return LaurentInt(IntPoly(cs if self.sign > 0 else [-c for c in cs]),
                           self.qexp)
 
 
 def pochhammer(a, m, k):
-    """(q^a; q^m)_k as a FactoredQ.
+    """(q^a; q^m)_k as a FactoredQ. A factor 1 - q^0, which occurs when
+    some a + j*m with j < k is 0, raises DomainError.
 
     >>> pochhammer(1, 2, 3)
     Phi_1^3 * Phi_3 * Phi_5
@@ -169,7 +149,7 @@ def pochhammer(a, m, k):
     for j in range(k):
         x = a + j * m
         if x == 0:
-            return FactoredQ.zero()
+            raise DomainError(f"1 - q^0 in (q^{a}; q^{m})_{k}")
         if x < 0:
             sign = -sign
             qexp += x
@@ -182,8 +162,10 @@ def pochhammer(a, m, k):
 def poch_ratio(r, m, n):
     """(q^r; q^m)_n / (q^m; q^m)_n in factored form.
 
-    The denominator never vanishes for m >= 1. The result is Zero exactly
-    when the numerator picks up a 1 - q^0 factor, which needs m | r.
+    The denominator never vanishes for m >= 1. The numerator picks up a
+    1 - q^0 factor, and pochhammer raises DomainError, exactly when
+    r = -j*m for some 0 <= j < n; that needs m | r, which pair_ok(r, m)
+    excludes.
 
     >>> poch_ratio(1, 2, 3)
     Phi_5 * Phi_2^-3 * Phi_4^-1 * Phi_6^-1

@@ -363,7 +363,12 @@ def verify_q_congruence(r, m, rho, n, full_polys=False):
 def _prime_support_divides(value, m):
     """Whether every prime factor of the integer value >= 1 divides m. At
     B(1), a product of Phi_d(1) that are each 1 or a prime, this is
-    Phi_d(1) = 1 or Phi_d(1) | m for every factor Phi_d of B."""
+    Phi_d(1) = 1 or Phi_d(1) | m for every factor Phi_d of B.
+
+    b_poly's rule (keep Phi_d with gcd(d, m) > 1) always passes it, so on
+    this code it guards b_poly rather than testing the claim: a B built by
+    any other rule fails it, as the negative control in
+    tests/test_integer_oracles.py shows. It is kept as a fault detector."""
     g = math.gcd(value, m)
     while g > 1:
         value //= g

@@ -296,6 +296,10 @@ def _no_work(*args, **kwargs):
     ["verify", "sun", "--n", "0..100"],
     ["verify", "lemmas", "--r", "1", "--m", "2", "--rho", "1",
      "--d-max", "101"],
+    # every per-modulus check needs d >= 2, so a lower --d-max checks nothing
+    ["verify", "lemmas", "--r", "1", "--m", "2", "--rho", "1", "--d-max=-1"],
+    ["verify", "lemmas", "--r", "1", "--m", "2", "--rho", "1",
+     "--d-max", "1"],
     ["show", "phi", "--d", "10001"],
     ["show", "N", "--r", "1", "--m", "2", "--n", "101"],
 ])
@@ -409,6 +413,10 @@ CEILING_SHA256 = {
         "816a5c92851206a1104b1b88075b908cd14dfe23688b67c7651bde96506f257f",
     "sun --n 1..100":
         "8b33323337f7b2b7cd943d1a41f777bfd365b47a96cce41d1385f746308f9ac0",
+    # the only lemma input whose cross products (d >= 64) take mul_lists'
+    # Kronecker path
+    "lemmas --r 1 --m 2 --rho 1 --d-max 100":
+        "989ebd877a03aa9db68678d3ca91d5e1693bd9a93378fbef8b6a080748256f81",
 }
 
 

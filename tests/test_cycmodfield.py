@@ -10,10 +10,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcongruence.bigpoly import fold, mul_binom
+from qcongruence.constructs import lambda_residue
 from qcongruence.cycmodfield import (FoldedRatio, _fold_mul_binom,
                                      _ratio_into, check_block_constant,
                                      check_block_decomposition,
@@ -101,22 +102,69 @@ def test_folded_binom_matches_unfolded_kernel(d, data):
 # ---------------------------------------------------------------------------
 # FoldedRatio plumbing
 
+def test_folded_ratio_holds_two_integer_arrays_and_a_count():
+    assert FoldedRatio.__slots__ == ("d", "gpow", "num", "den")
+    assert not hasattr(FoldedRatio(3), "__dict__")
+    f = FoldedRatio(3).mul_scalar(Fraction(-4, 6))
+    assert (f.gpow, f.num, f.den) == (0, [-2, 0, 0], [3, 0, 0])
+
+
 def test_folded_ratio_extracts_divisible_factors():
     f = FoldedRatio(5)
     f.mul_binom(10, 2)          # (1 - q^10)^2, and 5 | 10
     assert f.gpow == 2
-    assert f.scal == Fraction(2) ** 2
+    assert (f.num, f.den) == ([4, 0, 0, 0, 0], [1, 0, 0, 0, 0])
     g = FoldedRatio(5)
     g.mul_binom(10, -1)
     assert g.gpow == -1
-    assert g.scal == Fraction(1, 2)
+    assert (g.num, g.den) == ([1, 0, 0, 0, 0], [2, 0, 0, 0, 0])
+    # (1 - q^-5)/(1 - q^5) is -1, and the sign lands in num
+    h = FoldedRatio(5).mul_binom(-5).mul_binom(5, -1)
+    assert h.gpow == 0
+    assert (h.num, h.den) == ([-1, 0, 0, 0, 0], [1, 0, 0, 0, 0])
 
 
 def test_folded_ratio_zero_numerator():
     f = FoldedRatio(5)
     f.mul_binom(0, 1)           # the 1 - q^0 = 0 factor
-    assert f.scal == 0
+    assert f.gpow == 1
+    assert (f.num, f.den) == ([0] * 5, [1, 0, 0, 0, 0])
     assert f.is_congruent_zero()
+
+
+def test_folded_ratio_refuses_poles():
+    # 1 - q^0 downstairs, and a negative (1 - q^d) count once decided
+    with pytest.raises(DomainError):
+        FoldedRatio(5).mul_binom(0, -1)
+    pole = FoldedRatio(5).mul_binom(5, -1)
+    with pytest.raises(DomainError):
+        pole.is_congruent_zero()
+    with pytest.raises(DomainError):
+        folded_equal(pole, FoldedRatio(5))
+    with pytest.raises(DomainError):
+        folded_equal(FoldedRatio(5).mul_binom(0), pole)
+
+
+scalars = st.fractions(-20, 20, max_denominator=12)
+
+
+@given(st.sampled_from(PAIRS), st.integers(2, 12), st.integers(0, 2),
+       st.integers(0, 11), scalars, scalars)
+@example((1, 2), 5, 1, 1, Fraction(1, 2), Fraction(1))   # same numerator
+@example((-5, 3), 7, 2, 3, Fraction(-3, 4), Fraction(3, 4))
+@settings(max_examples=100, deadline=None)
+def test_folded_equal_sees_every_scalar(pair, d, s, t, c1, c2):
+    # ratio_k with k = s*d + t is a nonzero element of the field
+    # Q[q]/Phi_d when t <= lambda, so c1 * ratio_k == c2 * ratio_k exactly
+    # when c1 == c2
+    r, m = pair
+    assume(math.gcd(d, m) == 1)
+    k = s * d + t % (lambda_residue(r, m, d) + 1)
+    assert not _ratio_into(FoldedRatio(d), r, m, k).is_congruent_zero()
+    lhs = _ratio_into(FoldedRatio(d).mul_scalar(c1), r, m, k)
+    for c in (c1, c2):
+        rhs = _ratio_into(FoldedRatio(d), r, m, k).mul_scalar(c)
+        assert _same(lhs, rhs) == (c1 == c), (r, m, d, k, c1, c)
 
 
 def test_folded_equal_detects_inequality():
