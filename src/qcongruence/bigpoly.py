@@ -4,8 +4,7 @@ polynomials.
 
 Coefficients are stored ascending, entry i holding the coefficient of q^i,
 with trailing zeros trimmed so every value has exactly one representation.
-The zero polynomial is the empty tuple and its degree is -inf, which keeps
-degree(a*b) == degree(a) + degree(b) true without special cases.
+The zero polynomial is the empty tuple, and its degree is None.
 
 The convolution of two coefficient lists, mul_lists, picks between
 schoolbook (iterating over the operand with fewer nonzero entries, so
@@ -35,8 +34,6 @@ import operator
 from .exceptions import NotDivisible
 from .record import Record
 
-NEG_INF = float("-inf")
-
 # Slot cost of Kronecker packing is tiny, but for short convolutions the
 # schoolbook loop wins. Crossover measured loosely; exactness never depends
 # on it.
@@ -52,32 +49,23 @@ def _trim(cs):
 
 
 def _fmt_terms(coeffs, shift=0):
-    """Render ascending coefficients as a human-readable sum in q."""
-    if not coeffs:
-        return "0"
-    parts = []
+    """Render ascending coefficients as a human-readable sum in q, highest
+    power first. Every term is written " + body" or " - body", and the
+    leading one then drops its " + " or keeps a bare "-"."""
+    out = ""
     for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
+        c, e = coeffs[i], i + shift
         if not c:
             continue
-        e = i + shift
+        a = abs(c)
         if e == 0:
-            body = str(abs(c) if c < 0 else c)
-            if c < 0:
-                parts.append(("-", body) if parts else ("", "-" + body))
-                continue
+            body = str(a)
         else:
-            a = abs(c)
-            head = "" if a == 1 else f"{a}*"
-            body = f"{head}q" if e == 1 else f"{head}q^{e}"
-        if not parts:
-            parts.append(("", ("-" if c < 0 else "") + body))
-        else:
-            parts.append(("-" if c < 0 else "+", body))
-    out = parts[0][1]
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+            body = ("" if a == 1 else f"{a}*") + ("q" if e == 1 else f"q^{e}")
+        out +=f" {'-' if c < 0 else '+'} {body}"
+    if not out:
+        return "0"
+    return out[3:] if out[1] == "+" else "-" + out[3:]
 
 
 def _pack(cs, nbytes):
@@ -247,8 +235,8 @@ class IntPoly(Record):
 
     @property
     def degree(self):
-        """Degree, with the zero polynomial at -inf."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        """Degree, None for the zero polynomial."""
+        return len(self.coeffs) - 1 if self.coeffs else None
 
     @property
     def is_zero(self):
@@ -273,21 +261,14 @@ class IntPoly(Record):
             out[i] += c
         return IntPoly(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return IntPoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, IntPoly) else IntPoly(-other))
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if not other:
-                return IntPoly()
             return IntPoly([other * c for c in self.coeffs])
         if self.is_zero or other.is_zero:
             return IntPoly()
@@ -361,8 +342,6 @@ class LaurentInt(Record):
     __slots__ = ("base", "shift")
 
     def __init__(self, base, shift=0):
-        if not isinstance(base, IntPoly):
-            base = IntPoly(base)
         if base.is_zero:
             shift = 0
         else:
@@ -383,7 +362,6 @@ class LaurentInt(Record):
         return self.base.is_zero
 
     def __add__(self, other):
-        other = _as_laurent(other)
         if self.is_zero:
             return other
         if other.is_zero:
@@ -393,26 +371,13 @@ class LaurentInt(Record):
         b = IntPoly((0,) * (other.shift - s) + other.base.coeffs)
         return LaurentInt(a + b, s)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentInt(-self.base, self.shift)
 
     def __sub__(self, other):
-        return self + (-_as_laurent(other))
+        return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentInt(self.base * other, self.shift)
-        other = _as_laurent(other)
         return LaurentInt(self.base * other.base, self.shift + other.shift)
 
     __rmul__ = __mul__
-
-
-def _as_laurent(p):
-    if isinstance(p, LaurentInt):
-        return p
-    if isinstance(p, IntPoly):
-        return LaurentInt(p, 0)
-    return LaurentInt(IntPoly(p), 0)

@@ -220,9 +220,8 @@ def check_qbinom_reduction(r, m, d):
         rhs = FoldedRatio(d)
         rhs.mul_scalar((-1) ** k)
         rhs.mul_qpow(m * (k * (k - 1) // 2) - m * h * k)
-        for j in range(1, k + 1):
-            rhs.mul_binom(m * (h - k + j))
-            rhs.mul_binom(m * j, -1)
+        # qbinom(h, k) in q^m is ratio_k at r = m*(h - k + 1)
+        _ratio_into(rhs, m * (h - k + 1), m, k)
         ok, detail = folded_equal(lhs, rhs)
         if not ok:
             return CheckOutcome(False, f"qbinom_reduction(r={r},m={m},d={d})",

@@ -43,15 +43,11 @@ class FactoredQ(Record):
         object.__setattr__(self, "qexp", qexp)
         object.__setattr__(self, "factors", factors)
 
-    @classmethod
-    def one(cls):
-        return cls()
-
     def __repr__(self):
         """
         >>> FactoredQ(-1, -2, {2: -1, 5: 1})
         -q^-2 * Phi_5 * Phi_2^-1
-        >>> FactoredQ.one()
+        >>> FactoredQ()
         1
         """
         parts = []

@@ -38,8 +38,10 @@ innermost, so the cleared sum at n resumes from the one at n - 1.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import sys
 import types
 from fractions import Fraction
 
@@ -124,11 +126,33 @@ def poly_digest(p):
         d["shift"] = p.shift
         return d
     return {
-        "degree": None if p.is_zero else p.degree,
+        "degree": p.degree,
         "content": p.content(),
         "at1": sum(p.coeffs),
         "at2": p.evaluate(2),
     }
+
+
+@contextlib.contextmanager
+def unlimited_int_str():
+    """Lift CPython's cap on int -> decimal string conversion
+    (sys.set_int_max_str_digits, 4300 digits by default) inside the block,
+    and restore the old value when it exits, also on an exception.
+
+    A digest's at2 = p(2) passes that cap from (r, m, rho, n) =
+    (49, 10, 6, 14) on, and str() would then raise ValueError. Every
+    decimal stays exact, and output below the cap is unchanged. Where the
+    cap does not exist (before 3.10.7 on 3.10) this does nothing.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def poly_full(p):
@@ -349,15 +373,12 @@ def verify_q_congruence(r, m, rho, n, full_polys=False):
         witness = {"nonintegral_term": data["nonintegral_k"]}
         if not remainder.is_zero:
             witness["remainder_digest"] = fmt(remainder)
-    rhs = f"0 mod A*C {fmt(data['AC'])}"
+    with unlimited_int_str():
+        lhs = f"cleared sum {fmt(data['cleared'])}"
+        rhs = f"0 mod A*C {fmt(data['AC'])}"
     if full_polys:
         rhs += f" = {data['ac_factored']!r}"
-    return Verdict(
-        "qcong", params, ok,
-        f"cleared sum {fmt(data['cleared'])}",
-        rhs,
-        witness,
-    )
+    return Verdict("qcong", params, ok, lhs, rhs, witness)
 
 
 def _prime_support_divides(value, m):

@@ -13,7 +13,7 @@ exactly once in its file fails the script before anything runs, so a
 refactor that moves the code has to update this table. Hypothesis runs
 with a fixed seed, so a result repeats from run to run.
 
-The whole table (33 mutants) takes about 56 s on a 2-core host with
+The whole table (36 mutants) takes about 54 s on a 2-core host with
 Python 3.11; keep it under 90 s, inside CI's two-minute step. pytest
 does not collect this file (its testpaths pick up test_*.py only). A new
 oracle adds its mutants here.
@@ -45,6 +45,7 @@ DIVISION = "tests/test_bigpoly.py::test_division_matches_sympy"
 AC_WITNESS = ("tests/test_verifier.py::"
               "test_q_congruence_witness_when_ac_does_not_divide")
 INTEGER_ORACLE = "tests/test_integer_oracles.py::"
+EXACT_RULES = "tests/test_exact_rules.py::test_module_keeps_the_exact_rules"
 
 # (name, file, exact snippet, replacement, pytest node ids)
 MUTANTS = [
@@ -164,6 +165,19 @@ MUTANTS = [
     ("prime-support loop divides only once", VERIFIER,
      "    while g > 1:\n        value //= g", "    if g > 1:\n        value //= g",
      [INTEGER_ORACLE + "test_prime_support_matches_per_factor_oracle"]),
+    ("degree of zero is a float -inf", BIGPOLY,
+     "return len(self.coeffs) - 1 if self.coeffs else None",
+     "return len(self.coeffs) - 1 if self.coeffs else float(\"-inf\")",
+     [EXACT_RULES]),
+    ("the Gaussian side starts at m*(h - k)", CYCMOD,
+     "_ratio_into(rhs, m * (h - k + 1), m, k)",
+     "_ratio_into(rhs, m * (h - k), m, k)",
+     ["tests/test_acceptance.py::test_criterion_05_per_modulus_congruences",
+      "tests/test_cycmodfield.py"]),
+    ("an assert back in src", VERIFIER,
+     "    return value.numerator % modulus == 0\n",
+     "    assert modulus >= 1\n    return value.numerator % modulus == 0\n",
+     [EXACT_RULES]),
 ]
 
 

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcongruence.bigpoly import (NEG_INF, IntPoly, LaurentInt, _mul_kronecker,
+from qcongruence.bigpoly import (IntPoly, LaurentInt, _mul_kronecker,
                                  _mul_school, div_binom, fold, mul_binom)
 from qcongruence.exceptions import NotDivisible
 
@@ -33,7 +33,7 @@ def test_construction_trims_and_freezes():
     assert p.degree == 1
     assert IntPoly().is_zero
     assert IntPoly(0, 0).is_zero
-    assert IntPoly().degree == NEG_INF
+    assert IntPoly().degree is None
 
 
 def test_repr_ascending_storage_descending_print():

@@ -417,6 +417,11 @@ CEILING_SHA256 = {
     # Kronecker path
     "lemmas --r 1 --m 2 --rho 1 --d-max 100":
         "989ebd877a03aa9db68678d3ca91d5e1693bd9a93378fbef8b6a080748256f81",
+    # the cleared sum's at2 has more than 4,300 digits, CPython's default
+    # int -> str cap; before the digests lifted it, this exited 1 with a
+    # ValueError, so the hash could only be taken after that fix
+    "qcong --r 1 --m 2 --rho 6 --n 39":
+        "b1172cd6085a9f0f8e1760eeb301a82648c0d3f6e7785836a5b7e23d1aa19c24",
 }
 
 
@@ -427,3 +432,28 @@ def test_ceiling_report_bytes_pinned(spec, tmp_path):
     assert run_main(["verify", *spec.split(), "--jobs", "1", "--format",
                      "json", "--no-timestamp", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CEILING_SHA256[spec]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_witness_above_the_int_str_cap_renders(fmt, monkeypatch, capsys):
+    # a failing remainder q^15000 + 1, whose digest's at2 = 2^15000 + 1 has
+    # 4,516 digits, past CPython's default cap of 4,300
+    qcong_data = verifier._qcong_data
+    huge = verifier.IntPoly([1] + [0] * 14999 + [1])
+
+    def fake(*key):
+        return {**qcong_data(*key), "remainder": huge}
+    monkeypatch.setattr(verifier, "_qcong_data", fake)
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code = run_main(["verify", "qcong", "--r", "1", "--m", "2", "--rho", "1",
+                     "--n", "3", "--format", fmt, "--no-timestamp",
+                     "--jobs", "1"])
+    assert code == 1
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+    out = capsys.readouterr().out
+    with verifier.unlimited_int_str():
+        at2 = str(2 ** 15000 + 1)
+        if fmt == "json":
+            witness = json.loads(out)["verdicts"][0]["witness"]
+            assert witness["remainder_digest"]["at2"] == 2 ** 15000 + 1
+    assert f'"at2": {at2}' in out.replace('""', '"')

@@ -87,7 +87,7 @@ def test_b_poly_exponent_formula():
 
 def test_c_poly():
     assert repr(c_poly(2, 3)) == "Phi_3"
-    assert c_poly(2, 1) == type(c_poly(2, 1)).one()
+    assert c_poly(2, 1) == type(c_poly(2, 1))()
     # d | n with gcd(d, m) = 1, d >= 2
     f = c_poly(2, 15)
     assert sorted(d for d, _ in f.factors) == [3, 5, 15]

@@ -1,0 +1,75 @@
+"""The package's exactness rules, checked on its source.
+
+Every module of src/qcongruence is parsed and its syntax tree walked. It
+must hold:
+
+  no float literal and no float() call: every value is an integer, a
+  Fraction or an integer polynomial;
+  no math attribute outside the integer functions in INTEGER_MATH, so no
+  math.inf, math.nan, math.sqrt or math.log;
+  no assert statement: python -O drops them, so no check may rest on one.
+
+True division stays allowed, because it is how Fractions divide.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qcongruence"
+MODULES = sorted(SRC.glob("*.py"))
+
+INTEGER_MATH = {"gcd", "lcm", "comb", "perm", "factorial", "isqrt", "prod"}
+
+
+def violations(source, name="<source>"):
+    """Each rule the source breaks, as 'name:line: what'."""
+    found = []
+    for node in ast.walk(ast.parse(source, name)):
+        what = None
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            what = f"float literal {node.value!r}"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            what = "float() call"
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id == "math"
+              and node.attr not in INTEGER_MATH):
+            what = f"math.{node.attr}"
+        elif (isinstance(node, ast.ImportFrom) and node.module == "math"
+              and any(a.name not in INTEGER_MATH for a in node.names)):
+            what = "from math import " + ", ".join(a.name for a in node.names)
+        elif isinstance(node, ast.Assert):
+            what = "assert statement"
+        if what:
+            found.append(f"{name}:{node.lineno}: {what}")
+    return found
+
+
+def test_the_package_has_modules():
+    assert SRC / "bigpoly.py" in MODULES
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_keeps_the_exact_rules(path):
+    assert violations(path.read_text(), path.name) == []
+
+
+@pytest.mark.parametrize("source,what", [
+    ("NEG_INF = float('-inf')", "float() call"),
+    ("x = 0.5", "float literal 0.5"),
+    ("x = 1e3", "float literal 1000.0"),
+    ("x = math.inf", "math.inf"),
+    ("y = math.log2(x)", "math.log2"),
+    ("from math import sqrt", "from math import sqrt"),
+    ("def f(x):\n    if x:\n        assert x > 0\n", "assert statement"),
+])
+def test_each_rule_catches_its_case(source, what):
+    assert [v.split(": ", 1)[1] for v in violations(source)] == [what]
+
+
+def test_integer_code_passes():
+    source = ("import math\nfrom fractions import Fraction\n"
+              "x = math.gcd(4, 6) + math.isqrt(17)\ny = Fraction(1, 3) / 2\n")
+    assert violations(source) == []

@@ -51,7 +51,7 @@ def expand_phi_by_phi(f):
 
 
 def test_factored_one_and_no_zero():
-    one = FactoredQ.one()
+    one = FactoredQ()
     assert one.sign == 1 and one.qexp == 0 and one.factors == ()
     # 1 - q^0 raises instead of becoming a zero value
     assert FactoredQ.__slots__ == ("sign", "qexp", "factors")
@@ -80,7 +80,7 @@ def test_pochhammer_zero_factor():
     with pytest.raises(DomainError):
         pochhammer(-4, 2, 3)  # hits exponent 0 at j = 2
     assert pochhammer(-4, 2, 2) == FactoredQ(1, -6, {1: 2, 2: 2, 4: 1})
-    assert pochhammer(5, 5, 0) == FactoredQ.one()
+    assert pochhammer(5, 5, 0) == FactoredQ()
 
 
 def test_pochhammer_negative_exponent_sign_flip():
@@ -105,8 +105,8 @@ def test_pochhammer_expand_matches_direct_product(a, m, k):
 def test_mul_and_pow_cancel():
     f = pochhammer(1, 2, 3)  # Phi_1^3 * Phi_3 * Phi_5
     g = FactoredQ(1, 0, {1: -3, 3: -1, 5: -1})
-    assert f * g == FactoredQ.one()
-    assert f ** 0 == FactoredQ.one()
+    assert f * g == FactoredQ()
+    assert f ** 0 == FactoredQ()
     assert f ** 2 == f * f
     assert f ** -1 == g
 
@@ -203,6 +203,6 @@ def test_poch_ratio_refuses_a_zero_factor():
     # alone is no error
     with pytest.raises(DomainError):
         poch_ratio(-2, 2, 3)
-    assert poch_ratio(2, 2, 3) == FactoredQ.one()
+    assert poch_ratio(2, 2, 3) == FactoredQ()
     with pytest.raises(DomainError):
         poch_ratio(1, 0, 3)

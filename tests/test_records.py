@@ -21,7 +21,7 @@ SAMPLES = {
     IntPoly: [IntPoly(), IntPoly(5), IntPoly(1, 2, 3), IntPoly([1, 2, 3, 0])],
     LaurentInt: [LaurentInt(IntPoly(1, 1), -3), LaurentInt(IntPoly(0, 1, 1)),
                  LaurentInt(IntPoly(1, 1), 1), LaurentInt(IntPoly())],
-    FactoredQ: [FactoredQ(-1, -2, {2: -1, 5: 1}), FactoredQ.one(),
+    FactoredQ: [FactoredQ(-1, -2, {2: -1, 5: 1}), FactoredQ(),
                 FactoredQ(1, 3), FactoredQ(-1, -2, [(5, 1), (2, -1)])],
     CheckOutcome: [CheckOutcome(True, "x", "1", "1"),
                    CheckOutcome(True, "x", "1", "1", ""),

@@ -6,6 +6,7 @@ and the two agreed coefficient for coefficient before being written down.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,50 @@ def test_digest_and_full():
     lp = LaurentInt(p, -4)
     assert poly_digest(lp)["shift"] == -4
     assert poly_full(lp) == {"coeffs": [1, 2, 3], "shift": -4}
+
+
+# q^15000 + 1 has at2 = 2^15000 + 1, 4,516 decimal digits: past CPython's
+# default cap of 4,300 on int -> str conversion
+HUGE = IntPoly([1] + [0] * 14999 + [1])
+
+
+@pytest.fixture
+def huge_cleared_sum(monkeypatch):
+    """verify_q_congruence sees a passing instance whose cleared sum is
+    q^15000 + 1."""
+    data = {"cleared": LaurentInt(HUGE), "AC": IntPoly(1),
+            "ac_factored": FactoredQ(), "remainder": IntPoly(),
+            "nonintegral_k": None}
+    monkeypatch.setattr(verifier, "_qcong_data", lambda *key: data)
+
+
+def test_digest_above_the_int_str_cap_formats_exactly(huge_cleared_sum):
+    v = verify_q_congruence(1, 2, 1, 3)
+    assert v.passed
+    with verifier.unlimited_int_str():
+        want = str(2 ** 15000 + 1)
+    assert len(want) > 4300
+    assert v.lhs.endswith(f"'at2': {want}, 'shift': 0}}")
+    if hasattr(sys, "set_int_max_str_digits"):
+        with pytest.raises(ValueError):
+            str(2 ** 15000)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int -> str cap on this interpreter")
+def test_int_str_cap_is_restored(huge_cleared_sum):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        verify_q_congruence(1, 2, 1, 3)
+        assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(KeyError):
+            with verifier.unlimited_int_str():
+                assert sys.get_int_max_str_digits() == 0
+                raise KeyError("inside the block")
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_binomial_sum_frozen_values():
