@@ -251,8 +251,6 @@ class IntPoly(Record):
         return bool(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = IntPoly(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a

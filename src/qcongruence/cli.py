@@ -321,8 +321,6 @@ def cmd_verify(args, parser):
     tasks = []
     skipped = 0
     for claim in claims:
-        if any(f not in grid for f in _NEEDS[claim]):
-            continue  # `all` with partial flags still runs what it can
         t, s = _tasks_for(claim, grid, args.d_max, args.full_polys)
         tasks += t
         skipped += s

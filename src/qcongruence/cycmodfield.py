@@ -7,22 +7,22 @@ multiplying by 1 - q^x is one rotate-and-subtract over the d coefficients,
 and where every power of q and every product of two folded arrays is
 reduced by bigpoly.fold (the products by bigpoly.mul_lists). Congruence
 mod q^d - 1 implies congruence mod Phi_d, so one integer remainder at the
-end settles each check. A binomial 1 - q^x with d | x and x != 0 folds
-to literal zero, which is exact but useless inside a ratio, so FoldedRatio
-pulls those factors out as (1 - q^d) * (x/d) before folding:
-(1 - q^x)/(1 - q^d) is congruent to x/d mod Phi_d for every nonzero
-multiple x of d, both signs. Ratios are then compared by
-cross-multiplication, never by division: a positive count of extracted
-(1 - q^d) factors makes a side zero, and two nonzero sides are equal when
-their cross products are congruent mod Phi_d. A negative count is a pole
-at Phi_d. No claim's domain (m >= 2, gcd(r, m) = gcd(d, m) = 1) reaches
-one, nor a 1 - q^0 in a denominator, so both raise DomainError.
+end settles each check. Nothing is rational: a scalar enters as an integer
+numerator factor and an integer denominator factor. A binomial 1 - q^x
+with d | x and x != 0 folds to literal zero, which is exact but useless
+inside a ratio, so FoldedRatio pulls those factors out as
+(1 - q^d) * (x/d) before folding: (1 - q^x)/(1 - q^d) is congruent to x/d
+mod Phi_d for every nonzero multiple x of d, both signs. Ratios are then
+compared by cross-multiplication, never by division: a positive count of
+extracted (1 - q^d) factors makes a side zero, and two nonzero sides are
+equal when their cross products are congruent mod Phi_d. A negative count
+is a pole at Phi_d. No claim's domain (m >= 2, gcd(r, m) = gcd(d, m) = 1)
+reaches one, nor a 1 - q^0 in a denominator, so both raise DomainError.
 """
 from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
 from .bigpoly import IntPoly, fold, mul_lists
 from .constructs import lambda_residue, pair_ok, summand_twist
@@ -48,18 +48,18 @@ def _rem_phi(arr, d):
 
 
 class FoldedRatio:
-    """A ratio of binomial products with rational scalars, folded mod
+    """A ratio of binomial products and integer factors, folded mod
     q^d - 1.
 
     value = (1 - q^d)^gpow * num / den
 
     where num and den are folded integer arrays: num holds the
-    non-vanishing numerator binomials, every power of q and the scalars'
-    numerators, den the non-vanishing denominator binomials and the
-    scalars' denominators. Both are units mod Phi_d unless a scalar is 0,
-    which zeroes num. A 1 - q^0 in a denominator raises DomainError, and so
-    does deciding a ratio whose (1 - q^d) count is negative: a pole at
-    Phi_d, which no claim's domain reaches.
+    non-vanishing numerator binomials, every power of q and the integer
+    numerator factors, den the non-vanishing denominator binomials and the
+    integer denominator factors. Both are units mod Phi_d unless a
+    numerator factor is 0, which zeroes num. A 1 - q^0 in a denominator
+    raises DomainError, and so does deciding a ratio whose (1 - q^d) count
+    is negative: a pole at Phi_d, which no claim's domain reaches.
     """
 
     __slots__ = ("d", "gpow", "num", "den")
@@ -74,10 +74,13 @@ class FoldedRatio:
         self.den = [0] * d
         self.den[0] = 1
 
-    def mul_scalar(self, c):
-        c = Fraction(c)
-        self.num = [c.numerator * a for a in self.num]
-        self.den = [c.denominator * a for a in self.den]
+    def mul_scalar(self, num, den=1):
+        """Multiply by num/den for integers num and den, first divided by
+        their gcd."""
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        self.num = [num * a for a in self.num]
+        self.den = [den * a for a in self.den]
         return self
 
     def mul_qpow(self, e):
@@ -92,7 +95,8 @@ class FoldedRatio:
             if x == 0 and e < 0:
                 raise DomainError("1 - q^0 in a denominator")
             self.gpow += e
-            return self.mul_scalar(Fraction(x // d) ** e)
+            c = (x // d) ** abs(e)
+            return self.mul_scalar(c) if e >= 0 else self.mul_scalar(1, c)
         if e > 0:
             self.num = _fold_mul_binom(self.num, d, x, e)
         elif e < 0:
@@ -161,12 +165,12 @@ def _require_coprime(r, m, d, *bounds):
 
 
 def _scalar_c(r, m, d, s):
-    """The block scalar: rising factorial of w/m over s steps divided by s!,
-    where w = (r + lambda*m)/d is the integer the vanishing binomial
-    contributes; that is prod_{i<s} (w + i*m) / (m^s s!)."""
+    """The block scalar c_s as an integer pair (numerator, denominator): the
+    rising factorial of w/m over s steps divided by s!, where
+    w = (r + lambda*m)/d is the integer the vanishing binomial contributes;
+    that is prod_{i<s} (w + i*m) / (m^s s!), not reduced."""
     w = (r + lambda_residue(r, m, d) * m) // d
-    return Fraction(math.prod(w + i * m for i in range(s)),
-                    m ** s * math.factorial(s))
+    return math.prod(w + i * m for i in range(s)), m ** s * math.factorial(s)
 
 
 def check_block_constant(r, m, d):
@@ -202,7 +206,7 @@ def check_block_decomposition(r, m, d, s, t):
     scalar."""
     _require_coprime(r, m, d, s >= 0, 0 <= t < d)
     lhs = _ratio_into(FoldedRatio(d), r, m, s * d + t)
-    rhs = _ratio_into(FoldedRatio(d).mul_scalar(_scalar_c(r, m, d, s)),
+    rhs = _ratio_into(FoldedRatio(d).mul_scalar(*_scalar_c(r, m, d, s)),
                       r, m, t)
     ok, detail = folded_equal(lhs, rhs)
     return CheckOutcome(ok, f"block_decomposition(r={r},m={m},d={d},s={s},t={t})",
@@ -288,17 +292,14 @@ def check_mu_consistency(r, m, rho, d, s, t):
     """
     _require_coprime(r, m, d, rho >= 1, s >= 0, 0 <= t < d)
 
-    def nu(k, extra_scalar):
+    def nu(k, num=1, den=1):
         sign, e = summand_twist(r, m, rho, k)
-        f = FoldedRatio(d)
-        f.mul_scalar(extra_scalar * sign)
-        f.mul_qpow(e)
-        f.mul_binom(2 * m * k + r)
-        return _ratio_into(f, r, m, k, rho - 1)
+        f = FoldedRatio(d).mul_scalar(sign * num, den).mul_qpow(e)
+        return _ratio_into(f.mul_binom(2 * m * k + r), r, m, k, rho - 1)
 
-    mu = Fraction(-1) ** (rho * s) * _scalar_c(r, m, d, s) ** (rho - 1)
-    lhs = nu(s * d + t, Fraction(1))
-    rhs = nu(t, mu)
+    c_num, c_den = _scalar_c(r, m, d, s)
+    lhs = nu(s * d + t)
+    rhs = nu(t, (-1) ** (rho * s) * c_num ** (rho - 1), c_den ** (rho - 1))
     ok, detail = folded_equal(lhs, rhs)
     return CheckOutcome(ok, f"mu_consistency(r={r},m={m},rho={rho},d={d},s={s},t={t})",
                         f"nu_{s * d + t}", f"mu_{s} * nu_{t}", detail)

@@ -13,7 +13,7 @@ exactly once in its file fails the script before anything runs, so a
 refactor that moves the code has to update this table. Hypothesis runs
 with a fixed seed, so a result repeats from run to run.
 
-The whole table (36 mutants) takes about 54 s on a 2-core host with
+The whole table (43 mutants) takes about 82 s on a 2-core host with
 Python 3.11; keep it under 90 s, inside CI's two-minute step. pytest
 does not collect this file (its testpaths pick up test_*.py only). A new
 oracle adds its mutants here.
@@ -46,6 +46,8 @@ AC_WITNESS = ("tests/test_verifier.py::"
               "test_q_congruence_witness_when_ac_does_not_divide")
 INTEGER_ORACLE = "tests/test_integer_oracles.py::"
 EXACT_RULES = "tests/test_exact_rules.py::test_module_keeps_the_exact_rules"
+SUMMAND_ORACLE = "tests/test_summand_oracle.py"
+AC_FACTORS = SUMMAND_ORACLE + "::test_every_ac_factor_divides"
 
 # (name, file, exact snippet, replacement, pytest node ids)
 MUTANTS = [
@@ -91,11 +93,26 @@ MUTANTS = [
      "su = [a + b for a, b in zip(su, term)]",
      ["tests/test_cycmodfield.py::test_block_sum_grid"]),
     ("mul_scalar drops the denominator", CYCMOD,
-     "        self.den = [c.denominator * a for a in self.den]\n", "",
+     "        self.den = [den * a for a in self.den]\n", "",
      ["tests/test_cycmodfield.py::test_folded_equal_sees_every_scalar"]),
     ("the vanishing branch drops (x/d)^e", CYCMOD,
-     "return self.mul_scalar(Fraction(x // d) ** e)", "return self",
+     "return self.mul_scalar(c) if e >= 0 else self.mul_scalar(1, c)",
+     "return self",
      ["tests/test_cycmodfield.py::test_block_decomposition_grid"]),
+    ("the vanishing branch puts (x/d)^-e into num", CYCMOD,
+     "else self.mul_scalar(1, c)", "else self.mul_scalar(c)",
+     ["tests/test_cycmodfield.py::test_block_decomposition_grid"]),
+    ("mu_s drops (-1)^(rho*s)", CYCMOD,
+     "nu(t, (-1) ** (rho * s) * c_num ** (rho - 1)",
+     "nu(t, c_num ** (rho - 1)",
+     ["tests/test_cycmodfield.py::test_mu_consistency_grid"]),
+    ("_scalar_c drops its denominator", CYCMOD,
+     ", m ** s * math.factorial(s)", ", 1",
+     ["tests/test_cycmodfield.py::test_block_decomposition_grid"]),
+    ("cycmodfield imports Fraction again", CYCMOD,
+     "import operator\n", "import operator\nfrom fractions import Fraction\n",
+     ["tests/test_exact_rules.py::"
+      "test_integer_module_imports_no_fractions[cycmodfield.py]"]),
     ("folded_equal skips the (1 - q^d) count", CYCMOD,
      "return self.gpow > 0 or _rem_phi(self.num, self.d).is_zero",
      "return _rem_phi(self.num, self.d).is_zero",
@@ -174,6 +191,13 @@ MUTANTS = [
      "_ratio_into(rhs, m * (h - k), m, k)",
      ["tests/test_acceptance.py::test_criterion_05_per_modulus_congruences",
       "tests/test_cycmodfield.py"]),
+    ("the summand oracle ignores the (1 - q^d) count", SUMMAND_ORACLE,
+     "if count == 0 and x % d:", "if x % d:", [AC_FACTORS]),
+    ("the summand oracle's numerator exponent is r + km", SUMMAND_ORACLE,
+     "y, z = r + (k - 1) * m, m * k", "y, z = r + k * m, m * k",
+     [AC_FACTORS]),
+    ("the summand oracle drops the twist sign", SUMMAND_ORACLE,
+     "su = [a + sgn * b for a, b", "su = [a + b for a, b", [AC_FACTORS]),
     ("an assert back in src", VERIFIER,
      "    return value.numerator % modulus == 0\n",
      "    assert modulus >= 1\n    return value.numerator % modulus == 0\n",

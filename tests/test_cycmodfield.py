@@ -105,8 +105,11 @@ def test_folded_binom_matches_unfolded_kernel(d, data):
 def test_folded_ratio_holds_two_integer_arrays_and_a_count():
     assert FoldedRatio.__slots__ == ("d", "gpow", "num", "den")
     assert not hasattr(FoldedRatio(3), "__dict__")
-    f = FoldedRatio(3).mul_scalar(Fraction(-4, 6))
+    f = FoldedRatio(3).mul_scalar(-4, 6)
     assert (f.gpow, f.num, f.den) == (0, [-2, 0, 0], [3, 0, 0])
+    # integers only: a Fraction scalar is refused, not converted
+    with pytest.raises(TypeError):
+        FoldedRatio(3).mul_scalar(Fraction(-2, 3))
 
 
 def test_folded_ratio_extracts_divisible_factors():
@@ -145,26 +148,31 @@ def test_folded_ratio_refuses_poles():
         folded_equal(FoldedRatio(5).mul_binom(0), pole)
 
 
-scalars = st.fractions(-20, 20, max_denominator=12)
+# (numerator, denominator) integer pairs, not reduced; the denominator
+# takes either sign
+scalars = st.tuples(st.integers(-20, 20),
+                    st.integers(1, 12) | st.integers(-12, -1))
 
 
 @given(st.sampled_from(PAIRS), st.integers(2, 12), st.integers(0, 2),
        st.integers(0, 11), scalars, scalars)
-@example((1, 2), 5, 1, 1, Fraction(1, 2), Fraction(1))   # same numerator
-@example((-5, 3), 7, 2, 3, Fraction(-3, 4), Fraction(3, 4))
+@example((1, 2), 5, 1, 1, (1, 2), (1, 1))   # same numerator
+@example((-5, 3), 7, 2, 3, (-3, 4), (3, 4))
+@example((1, 3), 5, 0, 2, (6, 4), (-3, -2))  # one ratio, two spellings
 @settings(max_examples=100, deadline=None)
 def test_folded_equal_sees_every_scalar(pair, d, s, t, c1, c2):
     # ratio_k with k = s*d + t is a nonzero element of the field
     # Q[q]/Phi_d when t <= lambda, so c1 * ratio_k == c2 * ratio_k exactly
-    # when c1 == c2
+    # when c1 == c2 as rationals; Fraction is the oracle for that
     r, m = pair
     assume(math.gcd(d, m) == 1)
     k = s * d + t % (lambda_residue(r, m, d) + 1)
     assert not _ratio_into(FoldedRatio(d), r, m, k).is_congruent_zero()
-    lhs = _ratio_into(FoldedRatio(d).mul_scalar(c1), r, m, k)
+    lhs = _ratio_into(FoldedRatio(d).mul_scalar(*c1), r, m, k)
     for c in (c1, c2):
-        rhs = _ratio_into(FoldedRatio(d), r, m, k).mul_scalar(c)
-        assert _same(lhs, rhs) == (c1 == c), (r, m, d, k, c1, c)
+        rhs = _ratio_into(FoldedRatio(d), r, m, k).mul_scalar(*c)
+        assert _same(lhs, rhs) == (Fraction(*c1) == Fraction(*c)), \
+            (r, m, d, k, c1, c)
 
 
 def test_folded_equal_detects_inequality():
@@ -273,12 +281,13 @@ def test_negative_control_wrong_scalar():
     lhs = FoldedRatio(d)
     from qcongruence.cycmodfield import _scalar_c
     _ratio_into(lhs, r, m, d)
+    num, den = _scalar_c(r, m, d, 1)
     good = FoldedRatio(d)
-    good.mul_scalar(_scalar_c(r, m, d, 1))
+    good.mul_scalar(num, den)
     ok, _ = folded_equal(lhs, good)
     assert ok
     bad = FoldedRatio(d)
-    bad.mul_scalar(_scalar_c(r, m, d, 1) + 1)
+    bad.mul_scalar(num + den, den)
     ok, _ = folded_equal(lhs, bad)
     assert not ok
 

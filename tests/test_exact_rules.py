@@ -9,6 +9,10 @@ must hold:
   math.inf, math.nan, math.sqrt or math.log;
   no assert statement: python -O drops them, so no check may rest on one.
 
+The modules in INTEGER_ONLY also import nothing from fractions: their
+values are integers and integer polynomials, and a rational scalar is an
+integer numerator and denominator.
+
 True division stays allowed, because it is how Fractions divide.
 """
 
@@ -21,6 +25,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qcongruence"
 MODULES = sorted(SRC.glob("*.py"))
 
 INTEGER_MATH = {"gcd", "lcm", "comb", "perm", "factorial", "isqrt", "prod"}
+
+INTEGER_ONLY = ("bigpoly.py", "cyclotomic.py", "cycmodfield.py")
 
 
 def violations(source, name="<source>"):
@@ -67,6 +73,31 @@ def test_module_keeps_the_exact_rules(path):
 ])
 def test_each_rule_catches_its_case(source, what):
     assert [v.split(": ", 1)[1] for v in violations(source)] == [what]
+
+
+def fraction_imports(source, name="<source>"):
+    """Each import from the fractions module, as 'name:line: what'."""
+    found = []
+    for node in ast.walk(ast.parse(source, name)):
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            found.append(f"{name}:{node.lineno}: from fractions import")
+        elif isinstance(node, ast.Import) and any(
+                a.name == "fractions" for a in node.names):
+            found.append(f"{name}:{node.lineno}: import fractions")
+    return found
+
+
+@pytest.mark.parametrize("name", INTEGER_ONLY)
+def test_integer_module_imports_no_fractions(name):
+    assert fraction_imports((SRC / name).read_text(), name) == []
+
+
+def test_fraction_import_rule_catches_both_spellings():
+    assert fraction_imports("from fractions import Fraction\n") == [
+        "<source>:1: from fractions import"]
+    assert fraction_imports("import math, fractions\n") == [
+        "<source>:1: import fractions"]
+    assert fraction_imports("import math\nfrom math import gcd\n") == []
 
 
 def test_integer_code_passes():

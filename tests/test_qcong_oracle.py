@@ -125,7 +125,7 @@ def test_remainder_matches_sympy(r, m):
             cleared, AC = data["cleared"].base, data["AC"]
             assert data["remainder"].is_zero, (r, m, rho, n)
             assert _sympy_rem(cleared, AC).is_zero, (r, m, rho, n)
-            moved = cleared + 1
+            moved = cleared + IntPoly(1)
             assert moved.rem_monic(AC) == _sympy_rem(moved, AC), \
                 (r, m, rho, n)
             assert AC.degree == 0 or not moved.rem_monic(AC).is_zero, \
