@@ -10,14 +10,16 @@ mod q^d - 1 implies congruence mod Phi_d, so one integer remainder at the
 end settles each check. Nothing is rational: a scalar enters as an integer
 numerator factor and an integer denominator factor. A binomial 1 - q^x
 with d | x and x != 0 folds to literal zero, which is exact but useless
-inside a ratio, so FoldedRatio pulls those factors out as
-(1 - q^d) * (x/d) before folding: (1 - q^x)/(1 - q^d) is congruent to x/d
-mod Phi_d for every nonzero multiple x of d, both signs. Ratios are then
-compared by cross-multiplication, never by division: a positive count of
-extracted (1 - q^d) factors makes a side zero, and two nonzero sides are
-equal when their cross products are congruent mod Phi_d. A negative count
-is a pole at Phi_d. No claim's domain (m >= 2, gcd(r, m) = gcd(d, m) = 1)
-reaches one, nor a 1 - q^0 in a denominator, so both raise DomainError.
+inside a ratio, so _binom_pass, the one folded binomial pass, pulls those
+factors out as (1 - q^d) * (x/d) and counts them: (1 - q^x)/(1 - q^d) is
+congruent to x/d mod Phi_d for every nonzero multiple x of d, both signs.
+FoldedRatio and summand_sum, the folded sum of the first n summands that
+check_block_sum takes at n = d, both step through it. Ratios are compared
+by cross-multiplication, never by division: a positive count of extracted
+(1 - q^d) factors makes a side zero, and two nonzero sides are equal when
+their cross products are congruent mod Phi_d. A negative count is a pole
+at Phi_d. No claim's domain (m >= 2, gcd(r, m) = gcd(d, m) = 1) reaches
+one, nor a 1 - q^0 in a denominator, so both raise DomainError.
 """
 from __future__ import annotations
 
@@ -34,13 +36,18 @@ from .record import Record
 # ---------------------------------------------------------------------------
 # folded integer arrays
 
-def _fold_mul_binom(arr, d, x, times=1):
-    """arr times (1 - q^x)^times in Z[q]/(q^d - 1): one rotate-and-subtract
-    per factor. Zero when d | x, since 1 - q^x then folds to 0."""
+def _binom_pass(arr, d, x, e):
+    """arr times (1 - q^x)^e in Z[q]/(q^d - 1), e >= 0, and the number of
+    (1 - q^d) factors pulled out. Each factor is one rotate-and-subtract,
+    except when d | x: 1 - q^x then folds to zero, so each factor enters as
+    the integer x/d instead, the class of (1 - q^x)/(1 - q^d) mod Phi_d, and
+    counts one (1 - q^d)."""
     s = x % d
-    for _ in range(times):
+    if not s:
+        return [(x // d) ** e * a for a in arr], e
+    for _ in range(e):
         arr = list(map(operator.sub, arr, arr[-s:] + arr[:-s]))
-    return arr
+    return arr, 0
 
 
 def _rem_phi(arr, d):
@@ -89,18 +96,14 @@ class FoldedRatio:
 
     def mul_binom(self, x, e=1):
         """Multiply by (1 - q^x)^e; e may be negative."""
-        d = self.d
-        if x % d == 0:
-            # Vanishing mod q^d - 1: extract as (1 - q^d) * (x/d).
-            if x == 0 and e < 0:
-                raise DomainError("1 - q^0 in a denominator")
-            self.gpow += e
-            c = (x // d) ** abs(e)
-            return self.mul_scalar(c) if e >= 0 else self.mul_scalar(1, c)
         if e > 0:
-            self.num = _fold_mul_binom(self.num, d, x, e)
+            self.num, c = _binom_pass(self.num, self.d, x, e)
+            self.gpow += c
         elif e < 0:
-            self.den = _fold_mul_binom(self.den, d, x, -e)
+            if x == 0:
+                raise DomainError("1 - q^0 in a denominator")
+            self.den, c = _binom_pass(self.den, self.d, x, -e)
+            self.gpow -= c
         return self
 
     def is_congruent_zero(self):
@@ -235,33 +238,51 @@ def check_qbinom_reduction(r, m, d):
                         "ratio_k", "unit * qbinom(h,k)", f"all k < {d}")
 
 
-def check_block_sum(r, m, rho, d):
-    """The first d summands of the weighted q-binomial sum add to zero mod
-    Phi_d.
+def summand_sum(r, m, rho, n, d):
+    """The first n summands of the weighted q-binomial sum over the common
+    denominator (1-q)(q^m;q^m)_{n-1}^rho, folded mod q^d - 1.
 
     Summand k is q^{-mk} [2mk+r]_q ((-1)^k q^{-kr-m*binom(k,2)}
-    (q^r;q^m)_k/(q^m;q^m)_k)^rho. Everything is placed over the common
-    denominator (1-q)(q^m;q^m)_{d-1}^rho, a unit mod Phi_d, so the check is
-    an integer computation: fold the accumulated numerator mod q^d - 1 and
-    take one remainder at the end. The per-k reduction to the integer-top
-    Gaussian binomial is verified alongside, since the vanishing of the sum
-    rests on it.
+    (q^r;q^m)_k/(q^m;q^m)_k)^rho. The numerator pk = (q^r;q^m)_k^rho and
+    the running sum are stepped by _binom_pass, and a count keeps the
+    (1 - q^d) factors it pulls out: up on the numerator side, down on the
+    denominator side. A summand whose count is positive is 0 mod Phi_d and
+    adds nothing. What is left of the denominator is a unit mod Phi_d, so
+    Phi_d divides the sum exactly when it divides the result. A negative
+    count is a pole at Phi_d and raises DomainError; gcd(d, m) = 1 rules
+    it out, since k consecutive exponents r + jm meet d's residue class at
+    least floor(k/d) times.
+    """
+    pk = [1] + [0] * (d - 1)
+    su = [0] * d
+    count = 0
+    for k in range(n):
+        if k:
+            pk, up = _binom_pass(pk, d, r + (k - 1) * m, rho)
+            su, down = _binom_pass(su, d, m * k, rho)
+            count += up - down
+            if count < 0:
+                raise DomainError(f"pole at Phi_{d}: (1 - q^d) count {count}")
+        term, c = _binom_pass(pk, d, 2 * m * k + r, 1)
+        if count + c == 0:
+            sgn, e = summand_twist(r, m, rho, k)
+            su = [a + sgn * b for a, b in zip(su, fold(term, d, e))]
+    return su
+
+
+def check_block_sum(r, m, rho, d):
+    """The first d summands of the weighted q-binomial sum add to zero mod
+    Phi_d: summand_sum at n = d, where the common denominator
+    (1-q)(q^m;q^m)_{d-1}^rho is a unit mod Phi_d, so the check is one
+    integer remainder of the folded sum. The per-k reduction to the
+    integer-top Gaussian binomial is verified alongside, since the
+    vanishing of the sum rests on it.
     """
     _require_coprime(r, m, d, rho >= 1)
     red = check_qbinom_reduction(r, m, d)
     if not red.ok:
         return red
-    su = [0] * d
-    pk = [0] * d
-    pk[0] = 1
-    for k in range(d):
-        if k:
-            su = _fold_mul_binom(su, d, m * k, rho)
-            pk = _fold_mul_binom(pk, d, r + (k - 1) * m, rho)
-        sgn, e = summand_twist(r, m, rho, k)
-        term = fold(_fold_mul_binom(pk, d, 2 * m * k + r), d, e)
-        su = [a + sgn * b for a, b in zip(su, term)]
-    rem = _rem_phi(su, d)
+    rem = _rem_phi(summand_sum(r, m, rho, d, d), d)
     return CheckOutcome(rem.is_zero, f"block_sum(r={r},m={m},rho={rho},d={d})",
                         f"sum of {d} summands", "0 mod Phi_d",
                         "" if rem.is_zero else f"remainder {rem!r}")

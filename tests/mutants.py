@@ -5,31 +5,38 @@ Run from anywhere, with the test dependencies installed:
     python3 tests/mutants.py             # every mutant
     python3 tests/mutants.py -k fold     # mutants whose name contains "fold"
 
-src/, tests/ and pyproject.toml are copied to a temporary directory once.
-The unmutated copy must pass every selected test first. Then each mutant
-replaces one exact snippet in one file of the copy, runs pytest on its
-selector there, and puts the file back. A snippet that does not occur
-exactly once in its file fails the script before anything runs, so a
-refactor that moves the code has to update this table. Hypothesis runs
-with a fixed seed, so a result repeats from run to run.
+src/, tests/ and pyproject.toml are copied to two temporary directories
+once. The unmutated copies must pass every selected test first, half of
+the selectors in each. Then each mutant replaces one exact snippet in one
+file of a free copy, runs pytest on its selector there, and puts the file
+back; two mutants run at once, one per copy, and the rows print in table
+order. A snippet that does not occur exactly once in its file fails the
+script before anything runs, so a refactor that moves the code has to
+update this table. Hypothesis runs with a fixed seed, so a result repeats
+from run to run.
 
-The whole table (43 mutants) takes about 82 s on a 2-core host with
-Python 3.11; keep it under 90 s, inside CI's two-minute step. pytest
-does not collect this file (its testpaths pick up test_*.py only). A new
-oracle adds its mutants here.
+The whole table (43 mutants) takes 40-46 s on a 2-core host with
+Python 3.11 (74-83 s one row at a time, most of it interpreter start-up
+and test collection); keep it under 90 s, inside CI's two-minute step.
+pytest does not collect this file (its testpaths pick up test_*.py only).
+A new oracle adds its mutants here.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import pathlib
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+# Copies of the tree, and rows run at once: one per core of a 2-core host.
+COPIES = 2
 
 VERIFIER = "src/qcongruence/verifier.py"
 BIGPOLY = "src/qcongruence/bigpoly.py"
@@ -48,6 +55,7 @@ INTEGER_ORACLE = "tests/test_integer_oracles.py::"
 EXACT_RULES = "tests/test_exact_rules.py::test_module_keeps_the_exact_rules"
 SUMMAND_ORACLE = "tests/test_summand_oracle.py"
 AC_FACTORS = SUMMAND_ORACLE + "::test_every_ac_factor_divides"
+NON_FACTORS = SUMMAND_ORACLE + "::test_sampled_non_factors_do_not_divide"
 
 # (name, file, exact snippet, replacement, pytest node ids)
 MUTANTS = [
@@ -89,18 +97,17 @@ MUTANTS = [
      ["tests/test_cycmodfield.py::test_folded_binom_matches_unfolded_kernel",
       "tests/test_cycmodfield.py::test_block_sum_grid"]),
     ("block_sum drops sgn", CYCMOD,
-     "su = [a + sgn * b for a, b in zip(su, term)]",
-     "su = [a + b for a, b in zip(su, term)]",
-     ["tests/test_cycmodfield.py::test_block_sum_grid"]),
+     "su = [a + sgn * b for a, b", "su = [a + b for a, b",
+     ["tests/test_cycmodfield.py::test_block_sum_grid", AC_FACTORS]),
     ("mul_scalar drops the denominator", CYCMOD,
      "        self.den = [den * a for a in self.den]\n", "",
      ["tests/test_cycmodfield.py::test_folded_equal_sees_every_scalar"]),
     ("the vanishing branch drops (x/d)^e", CYCMOD,
-     "return self.mul_scalar(c) if e >= 0 else self.mul_scalar(1, c)",
-     "return self",
+     "return [(x // d) ** e * a for a in arr], e", "return arr, e",
      ["tests/test_cycmodfield.py::test_block_decomposition_grid"]),
-    ("the vanishing branch puts (x/d)^-e into num", CYCMOD,
-     "else self.mul_scalar(1, c)", "else self.mul_scalar(c)",
+    ("mul_binom puts a denominator binomial into num", CYCMOD,
+     "self.den, c = _binom_pass(self.den,",
+     "self.num, c = _binom_pass(self.num,",
      ["tests/test_cycmodfield.py::test_block_decomposition_grid"]),
     ("mu_s drops (-1)^(rho*s)", CYCMOD,
      "nu(t, (-1) ** (rho * s) * c_num ** (rho - 1)",
@@ -191,13 +198,13 @@ MUTANTS = [
      "_ratio_into(rhs, m * (h - k), m, k)",
      ["tests/test_acceptance.py::test_criterion_05_per_modulus_congruences",
       "tests/test_cycmodfield.py"]),
-    ("the summand oracle ignores the (1 - q^d) count", SUMMAND_ORACLE,
-     "if count == 0 and x % d:", "if x % d:", [AC_FACTORS]),
-    ("the summand oracle's numerator exponent is r + km", SUMMAND_ORACLE,
-     "y, z = r + (k - 1) * m, m * k", "y, z = r + k * m, m * k",
-     [AC_FACTORS]),
-    ("the summand oracle drops the twist sign", SUMMAND_ORACLE,
-     "su = [a + sgn * b for a, b", "su = [a + b for a, b", [AC_FACTORS]),
+    ("summand_sum ignores the (1 - q^d) count", CYCMOD,
+     "if count + c == 0:", "if c == 0:", [AC_FACTORS]),
+    ("summand_sum's numerator exponent is r + km", CYCMOD,
+     "r + (k - 1) * m", "r + k * m", [AC_FACTORS]),
+    ("summand_sum drops the denominator side of the count", CYCMOD,
+     "count += up - down", "count += up",
+     [AC_FACTORS, NON_FACTORS]),
     ("an assert back in src", VERIFIER,
      "    return value.numerator % modulus == 0\n",
      "    assert modulus >= 1\n    return value.numerator % modulus == 0\n",
@@ -227,6 +234,25 @@ def _copy(tree):
     shutil.copy(ROOT / "pyproject.toml", tree)
 
 
+def _mutated_run(free, row):
+    """Run one row in a free copy: replace its snippet, run pytest on its
+    selectors, put the file back and return the copy to the pool."""
+    _, path, old, new, selected = row
+    tree = free.get()
+    try:
+        f = tree / path
+        text = f.read_text()
+        f.write_text(text.replace(old, new))
+        t0 = time.monotonic()
+        try:
+            res = _pytest(tree, selected)
+        finally:
+            f.write_text(text)
+        return res, time.monotonic() - t0
+    finally:
+        free.put(tree)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("-k", default="",
@@ -235,12 +261,14 @@ def main(argv=None):
     if not rows:
         parser.error("no mutant matches -k")
     start = time.monotonic()
-    with tempfile.TemporaryDirectory(prefix="qcongruence-mutants-") as tmp:
-        tree = pathlib.Path(tmp).resolve()
-        _copy(tree)
+    with tempfile.TemporaryDirectory(prefix="qcongruence-mutants-") as tmp, \
+            ThreadPoolExecutor(COPIES) as pool:
+        trees = [pathlib.Path(tmp).resolve() / str(i) for i in range(COPIES)]
+        for tree in trees:
+            _copy(tree)
         stale = []
         for name, path, old, _, _ in rows:
-            count = (tree / path).read_text().count(old)
+            count = (trees[0] / path).read_text().count(old)
             if count != 1:
                 stale.append(f"{name}: snippet occurs {count} times in "
                              f"{path}, not once")
@@ -248,34 +276,32 @@ def main(argv=None):
             print("\n".join(stale))
             return 1
         # an installed qcongruence must not shadow the copy's
-        where = _python(tree, "-c",
+        where = _python(trees[0], "-c",
                         "import qcongruence; print(qcongruence.__file__)")
-        if not where.stdout.startswith(str(tree)):
+        if not where.stdout.startswith(str(trees[0])):
             print(f"qcongruence imports from {where.stdout.strip()!r}, "
-                  f"not from the copy {tree}")
+                  f"not from the copy {trees[0]}")
             return 1
+        # the unmutated baseline, its selectors shared out over the copies
         selectors = sorted({s for row in rows for s in row[4]})
-        base = _pytest(tree, selectors)
-        if base.returncode != 0:
-            print("the unmutated copy fails its selected tests:")
-            print(base.stdout[-3000:], base.stderr[-3000:])
-            return 1
+        parts = [selectors[i::COPIES] for i in range(COPIES)]
+        for base in pool.map(_pytest, trees, [p for p in parts if p]):
+            if base.returncode != 0:
+                print("the unmutated copy fails its selected tests:")
+                print(base.stdout[-3000:], base.stderr[-3000:])
+                return 1
+        free = queue.Queue()
+        for tree in trees:
+            free.put(tree)
         bad = 0
-        for name, path, old, new, selected in rows:
-            f = tree / path
-            text = f.read_text()
-            f.write_text(text.replace(old, new))
-            t0 = time.monotonic()
-            try:
-                res = _pytest(tree, selected)
-            finally:
-                f.write_text(text)
+        results = pool.map(lambda row: _mutated_run(free, row), rows)
+        for (name, *_), (res, seconds) in zip(rows, results):
             # 1 is "tests failed"; anything else (0 passed, 2 a collection
             # error, ...) means the mutant was not caught by a test
             outcome = {0: "SURVIVED", 1: "killed"}.get(
                 res.returncode, f"pytest exit {res.returncode}")
             summary = res.stdout.strip().splitlines()[-1:]
-            print(f"{outcome:>16}  {name}  ({time.monotonic() - t0:.1f} s; "
+            print(f"{outcome:>16}  {name}  ({seconds:.1f} s; "
                   f"{''.join(summary)})")
             if res.returncode != 1:
                 bad += 1

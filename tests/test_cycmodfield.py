@@ -13,9 +13,10 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qcongruence import cycmodfield
 from qcongruence.bigpoly import fold, mul_binom
 from qcongruence.constructs import lambda_residue
-from qcongruence.cycmodfield import (FoldedRatio, _fold_mul_binom,
+from qcongruence.cycmodfield import (FoldedRatio, _binom_pass,
                                      _ratio_into, check_block_constant,
                                      check_block_decomposition,
                                      check_block_sum, check_mu_consistency,
@@ -87,16 +88,16 @@ def test_folded_equal_matches_sympy_residues():
 @settings(max_examples=120, deadline=None)
 def test_folded_binom_matches_unfolded_kernel(d, data):
     # the unfolded kernel followed by fold is the labelled oracle for the
-    # folded rotate-and-subtract; at s = 0, 1 - q^d folds to zero
+    # folded rotate-and-subtract; at s = 0, 1 - q^d folds to zero, so the
+    # pass takes the integer x/d and counts the (1 - q^d) instead
     arr = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=d,
                              max_size=d))
-    for s in range(d):
-        got = _fold_mul_binom(arr, d, s)
-        if s == 0:
-            assert got == [0] * d
-        assert got == fold(mul_binom(arr, s or d), d)
-        assert _fold_mul_binom(arr, d, s + 3 * d, 2) == fold(
-            mul_binom(arr, s or d, 2), d)
+    assert fold(mul_binom(arr, d), d) == [0] * d
+    assert _binom_pass(arr, d, -2 * d, 3) == ([-8 * a for a in arr], 3)
+    for s in range(1, d):
+        assert _binom_pass(arr, d, s, 1) == (fold(mul_binom(arr, s), d), 0)
+        assert _binom_pass(arr, d, s + 3 * d, 2) == (
+            fold(mul_binom(arr, s, 2), d), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +293,18 @@ def test_negative_control_wrong_scalar():
     assert not ok
 
 
-def test_negative_control_perturbed_weight():
-    """block_sum with the summand's q-power perturbed by +2mk instead of
-    -mk must break: emulate by shifting the left side before comparing."""
+def test_negative_control_perturbed_weight(monkeypatch):
+    """block_sum with summand k's q-power q^{-mk} perturbed to q^{+2mk}
+    must break."""
     r, m, rho, d = 1, 2, 1, 5
+    assert check_block_sum(r, m, rho, d).ok
+    twist = cycmodfield.summand_twist
+
+    def perturbed(r, m, rho, k):
+        sgn, e = twist(r, m, rho, k)
+        return sgn, e + 3 * m * k
+
+    monkeypatch.setattr(cycmodfield, "summand_twist", perturbed)
     outcome = check_block_sum(r, m, rho, d)
-    assert outcome.ok
-    # shifting a passing folded residue by q^1 must unbalance it
-    lhs = FoldedRatio(d)
-    lhs.mul_scalar(3)
-    rhs = FoldedRatio(d)
-    rhs.mul_scalar(3)
-    rhs.mul_qpow(1)
-    ok, _ = folded_equal(lhs, rhs)
-    assert not ok
+    assert not outcome.ok
+    assert outcome.detail == "remainder 5*q^3 - 5*q^2 - 5*q + 5"

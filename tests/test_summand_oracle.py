@@ -1,23 +1,17 @@
-"""The q-congruence decided one Phi_d at a time from its summands: a test
-oracle, kept in tests/ only.
+"""The q-congruence decided one Phi_d at a time from its summands, by
+cycmodfield.summand_sum, compared with the folded build of the cleared sum.
 
 Take d >= 2 with gcd(d, m) = 1. B^rho and 1/(1 - q) are then units mod
 Phi_d, so Phi_d divides the cleared sum exactly when it divides
 
     S = sum_{k<n} (-1)^{rho k} q^{e_k} (1 - q^{2mk+r}) P_k^rho / Q_k^rho,
 
-P_k = (q^r;q^m)_k and Q_k = (q^m;q^m)_k. summand_divides decides that in
-Z[q]/(q^d - 1) without building any polynomial. It never touches the
-cleared sum, so it is independent of verifier._cleared_sum, whose folded
-build (fold(cleared, d, shift), then one remainder mod Phi_d) it is
-compared with here.
-
-A binomial 1 - q^x with d | x folds to zero, so it enters as the integer
-x/d, the class of (1 - q^x)/(1 - q^d), and a count keeps its (1 - q^d):
-up for numerator binomials, down for denominator ones. A summand whose
-count is positive is 0 mod Phi_d and adds nothing. The count is never
-negative when gcd(d, m) = 1, since k consecutive exponents r + jm meet
-d's residue class at least floor(k/d) times.
+P_k = (q^r;q^m)_k and Q_k = (q^m;q^m)_k. summand_sum folds S over its
+common denominator in Z[q]/(q^d - 1) without building any polynomial, the
+same engine check_block_sum runs at n = d. It never touches the cleared
+sum, so it is independent of verifier._cleared_sum, whose folded build
+(fold(cleared, d, shift), then one remainder mod Phi_d) is the oracle here,
+for summand_sum at every n and for check_block_sum at n = d.
 """
 
 import math
@@ -27,9 +21,10 @@ import pytest
 
 from qcongruence import verifier
 from qcongruence.bigpoly import IntPoly, fold
-from qcongruence.constructs import a_poly, c_poly, summand_twist
-from qcongruence.cycmodfield import _fold_mul_binom, check_block_sum
+from qcongruence.constructs import a_poly, c_poly
+from qcongruence.cycmodfield import check_block_sum, summand_sum
 from qcongruence.cyclotomic import phi
+from qcongruence.exceptions import DomainError
 
 # criterion 6's instances: its pairs, rho 1..2, n 1..30 (n innermost, so
 # the cleared sum resumes from the previous instance)
@@ -38,47 +33,19 @@ INSTANCES = [(r, m, rho, n) for r, m in QCONG_PAIRS for rho in (1, 2)
              for n in range(1, 31)]
 
 
-def summand_divides(r, m, rho, n, d):
-    """Whether Phi_d divides the cleared sum of (r, m, rho, n), from the
-    summands folded mod q^d - 1.
+def divides(arr, d):
+    """Whether Phi_d divides a folded array: one remainder mod Phi_d."""
+    return IntPoly(arr).rem_monic(phi(d)).is_zero
 
-    pk is the numerator P_k^rho and su the running sum over the common
-    denominator Q_k^rho, each with its vanishing binomials replaced by
-    integers. ValueError if the (1 - q^d) count goes negative, a pole that
-    gcd(d, m) = 1 rules out.
-    """
-    pk = [1] + [0] * (d - 1)
-    su = [0] * d
-    count = 0
-    for k in range(n):
-        if k:
-            y, z = r + (k - 1) * m, m * k
-            if y % d:
-                pk = _fold_mul_binom(pk, d, y, rho)
-            else:
-                pk = [(y // d) ** rho * a for a in pk]
-                count += rho
-            if z % d:
-                su = _fold_mul_binom(su, d, z, rho)
-            else:
-                su = [(z // d) ** rho * a for a in su]
-                count -= rho
-            if count < 0:
-                raise ValueError(f"pole at Phi_{d}: (1 - q^d) count {count}")
-        x = 2 * m * k + r
-        if count == 0 and x % d:
-            sgn, e = summand_twist(r, m, rho, k)
-            term, s = _fold_mul_binom(pk, d, x), e % d
-            # times q^e: a rotation, since term already has d entries
-            su = [a + sgn * b for a, b in zip(su, term[-s:] + term[:-s])]
-    return IntPoly(su).rem_monic(phi(d)).is_zero
+
+def summand_divides(r, m, rho, n, d):
+    return divides(summand_sum(r, m, rho, n, d), d)
 
 
 def folded_build_divides(cleared, d):
     """Whether Phi_d divides the built cleared sum: fold it mod q^d - 1,
     then take one remainder mod Phi_d."""
-    folded = fold(cleared.base.coeffs, d, cleared.shift)
-    return IntPoly(folded).rem_monic(phi(d)).is_zero
+    return divides(fold(cleared.base.coeffs, d, cleared.shift), d)
 
 
 @pytest.fixture(scope="module")
@@ -124,20 +91,30 @@ def test_sampled_non_factors_do_not_divide(built):
 
 
 def test_n_equal_d_is_block_sum():
-    # the lemmas' theorem grid: every (r, m) with m in 2..6, r in -6..6
+    # check_block_sum against the folded full build at n = d, on the
+    # lemmas' theorem grid: every (r, m) with m in 2..6, r in -6..6. B^rho,
+    # 1 - q and (q^m;q^m)_{d-1} are units mod Phi_d when gcd(d, m) = 1, so
+    # the block sum vanishes exactly when Phi_d divides the cleared sum.
     grid = [(r, m) for m in range(2, 7) for r in range(-6, 7)
             if math.gcd(r, m) == 1 and r % m != 0]
-    for r, m in grid:
-        for d in range(2, 13):
-            if math.gcd(d, m) != 1:
-                continue
+    verifier.reset_qcong()
+    try:
+        for r, m in grid:
             for rho in (1, 2, 3):
-                assert summand_divides(r, m, rho, d, d) == \
-                    check_block_sum(r, m, rho, d).ok, (r, m, rho, d)
+                for d in range(2, 13):
+                    if math.gcd(d, m) != 1:
+                        continue
+                    cleared, nonintegral_k = verifier._cleared_sum(
+                        r, m, rho, d)
+                    assert nonintegral_k is None, (r, m, rho, d)
+                    assert check_block_sum(r, m, rho, d).ok == \
+                        folded_build_divides(cleared, d), (r, m, rho, d)
+    finally:
+        verifier.reset_qcong()
 
 
 def test_a_shared_factor_is_a_pole():
     # gcd(d, m) = 2: every 1 - q^{2k} vanishes mod q^2 - 1 and no
     # numerator binomial 1 - q^{1 + 2(k-1)} does, so the count drops below 0
-    with pytest.raises(ValueError):
-        summand_divides(1, 2, 1, 3, 2)
+    with pytest.raises(DomainError):
+        summand_sum(1, 2, 1, 3, 2)
