@@ -223,7 +223,7 @@ class IntPoly(Record):
     def __init__(self, *coeffs):
         if len(coeffs) == 1 and not isinstance(coeffs[0], int):
             coeffs = tuple(coeffs[0])
-        object.__setattr__(self, "coeffs", _trim(coeffs))
+        super().__init__(_trim(coeffs))
 
     def __repr__(self):
         """
@@ -350,8 +350,7 @@ class LaurentInt(Record):
             if k:
                 base = IntPoly(base.coeffs[k:])
                 shift += k
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "shift", shift)
+        super().__init__(base, shift)
 
     def __repr__(self):
         return _fmt_terms(self.base.coeffs, self.shift)

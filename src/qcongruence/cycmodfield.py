@@ -148,13 +148,6 @@ def folded_equal(lhs, rhs):
 class CheckOutcome(Record):
     __slots__ = ("ok", "label", "lhs", "rhs", "detail")
 
-    def __init__(self, ok, label, lhs, rhs, detail=""):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "detail", detail)
-
     def __bool__(self):
         return self.ok
 

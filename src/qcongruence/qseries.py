@@ -39,9 +39,7 @@ class FactoredQ(Record):
         for d, _ in factors:
             if d < 1:
                 raise DomainError(f"cyclotomic index {d}")
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "qexp", qexp)
-        object.__setattr__(self, "factors", factors)
+        super().__init__(sign, qexp, factors)
 
     def __repr__(self):
         """

@@ -82,14 +82,6 @@ def _require(claim, *params):
 class Verdict(Record):
     __slots__ = ("claim", "params", "passed", "lhs", "rhs", "witness")
 
-    def __init__(self, claim, params, passed, lhs="", rhs="", witness=None):
-        object.__setattr__(self, "claim", claim)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "witness", witness)
-
     def __bool__(self):
         return self.passed
 

@@ -15,7 +15,7 @@ script before anything runs, so a refactor that moves the code has to
 update this table. Hypothesis runs with a fixed seed, so a result repeats
 from run to run.
 
-The whole table (43 mutants) takes 40-46 s on a 2-core host with
+The whole table (45 mutants) takes 42-46 s on a 2-core host with
 Python 3.11 (74-83 s one row at a time, most of it interpreter start-up
 and test collection); keep it under 90 s, inside CI's two-minute step.
 pytest does not collect this file (its testpaths pick up test_*.py only).
@@ -141,6 +141,13 @@ MUTANTS = [
      ["tests/test_records.py::test_fields_come_from_slots_alone"]),
     ("Record ignores its bases' fields", RECORD,
      "for c in reversed(cls.__mro__)", "for c in (cls,)",
+     ["tests/test_records.py::test_fields_come_from_slots_alone"]),
+    ("Record.__init__ drops the arity check", RECORD,
+     "        if len(values) != len(self._fields):\n",
+     "        if False:\n",
+     ["tests/test_records.py::test_wrong_number_of_values_raises"]),
+    ("Record.__init__ sets the fields in reverse", RECORD,
+     "zip(self._fields, values)", "zip(reversed(self._fields), values)",
      ["tests/test_records.py::test_fields_come_from_slots_alone"]),
     ("qcong witness drops remainder_digest", VERIFIER,
      "            witness[\"remainder_digest\"] = fmt(remainder)\n",

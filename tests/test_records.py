@@ -1,5 +1,8 @@
 """Value-class semantics: the five frozen record classes behave as frozen
 dataclasses with the same fields would, and pickle across a process pool.
+Record.__init__ is the one constructor: it takes one value per __slots__
+field, in order, with no defaults, so Verdict and CheckOutcome are built
+with every field and a wrong count raises TypeError.
 
 The oracle is a frozen dataclass twin of each class, built from its
 __slots__; only the tests import dataclasses.
@@ -23,13 +26,13 @@ SAMPLES = {
                  LaurentInt(IntPoly(1, 1), 1), LaurentInt(IntPoly())],
     FactoredQ: [FactoredQ(-1, -2, {2: -1, 5: 1}), FactoredQ(),
                 FactoredQ(1, 3), FactoredQ(-1, -2, [(5, 1), (2, -1)])],
-    CheckOutcome: [CheckOutcome(True, "x", "1", "1"),
+    CheckOutcome: [CheckOutcome(True, "x", "1", "1", ""),
                    CheckOutcome(True, "x", "1", "1", ""),
                    CheckOutcome(False, "x", "1", "2", "differ")],
     Verdict: [Verdict("x", {"n": 1}, True, "l", "r", None),
-              Verdict("x", {"n": 1}, True, "l", "r"),
+              Verdict("x", {"n": 1}, True, "l", "r", None),
               Verdict("x", {}, False, "l", "r", {"w": 1}),
-              Verdict("x", {"n": 1}, False)],
+              Verdict("x", {"n": 1}, False, "", "", None)],
 }
 
 CLASSES = list(SAMPLES)
@@ -97,7 +100,7 @@ def test_equality_and_hash_match_frozen_dataclass(cls):
 
 def test_verdict_with_dict_params_is_unhashable():
     with pytest.raises(TypeError):
-        hash(Verdict("x", {"n": 1}, True))
+        hash(Verdict("x", {"n": 1}, True, "l", "r", None))
 
 
 @pytest.mark.parametrize("cls", [CheckOutcome, Verdict],
@@ -108,10 +111,20 @@ def test_repr_matches_frozen_dataclass(cls):
 
 
 def test_truth_of_verdict_and_check_outcome():
-    assert Verdict("x", {}, True)
+    assert Verdict("x", {}, True, "", "", None)
     assert not Verdict("x", {}, False, "l", "r", {"w": 1})
-    assert CheckOutcome(True, "x", "1", "1")
-    assert not CheckOutcome(False, "x", "1", "2")
+    assert CheckOutcome(True, "x", "1", "1", "")
+    assert not CheckOutcome(False, "x", "1", "2", "differ")
+
+
+@pytest.mark.parametrize("cls, count", [(Verdict, 5), (Verdict, 7),
+                                        (CheckOutcome, 4), (CheckOutcome, 6)],
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_wrong_number_of_values_raises(cls, count):
+    # no field has a default, and no value is dropped or left over
+    with pytest.raises(TypeError, match=rf"{cls.__name__} takes "
+                       rf"{len(cls.__slots__)} values, got {count}"):
+        cls(*range(count))
 
 
 @pytest.mark.parametrize("cls", [Verdict, CheckOutcome],
@@ -127,13 +140,10 @@ class _Pair(Record):
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a, b):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
 
 def test_fields_come_from_slots_alone():
     p = _Pair(1, [2])
+    assert (p.a, p.b) == (1, [2])
     assert p == _Pair(1, [2])
     assert p != _Pair(1, [3])
     assert p != _Pair(2, [2])
