@@ -13,13 +13,16 @@ code 3 as data, not as a suite failure.
 
 Grid flags --r --m --rho --n take a single integer or an inclusive range
 `a..b`; a range with a negative start is attached with `=`, as in
-`--r=-6..6`. Each flag, --d-max and `show --d` have ceilings (GRID_LIMITS,
-D_MAX_LIMIT, SHOW_D_LIMIT); a value above one, or a --d-max below 2, exits
-with code 2 before any work starts. Instances outside a claim's domain
-(verifier.DOMAINS; for `lemmas`, a pair outside constructs.pair_ok) are
-skipped and counted, never errored; `show` refuses a pair outside pair_ok
-as a usage error. Exit codes: 0 all pass, 1 a proven claim failed, 2 usage
-error, 3 conjecture counterexample.
+`--r=-6..6`. A claim needs the flags its verifier.DOMAINS entry names, in
+argument order; `lemmas` and `all`, which have no entry, list theirs in
+_NEEDS. `show` reads _SHOW: each object's construct and that construct's
+flags in argument order. Each flag, --d-max and `show --d` have ceilings
+(GRID_LIMITS, D_MAX_LIMIT, SHOW_D_LIMIT); a value above one, or a --d-max
+below 2, exits with code 2 before any work starts. Instances outside a
+claim's domain (verifier.DOMAINS; for `lemmas`, a pair outside
+constructs.pair_ok) are skipped and counted, never errored; `show` refuses
+a pair outside pair_ok as a usage error. Exit codes: 0 all pass, 1 a proven
+claim failed, 2 usage error, 3 conjecture counterexample.
 
 Reports are deterministic for a fixed spec: iteration is in sorted
 parameter order, results are emitted in task order regardless of worker
@@ -45,11 +48,9 @@ from .verifier import Verdict
 PROVEN = ("binomsum", "central", "qcong", "lemmas", "identities", "2adic")
 CLAIMS = (*PROVEN, "sun", "all")
 
-# claim -> the grid flags it needs (per-instance claims: in argument order)
-_NEEDS = {"binomsum": ("r", "m", "rho", "n"), "central": ("rho", "n"),
-          "qcong": ("r", "m", "rho", "n"), "lemmas": ("r", "m", "rho"),
-          "identities": ("r", "m", "n"), "2adic": ("rho", "n"),
-          "sun": ("n",), "all": ("r", "m", "rho", "n")}
+# the grid flags of the claims without a verifier.DOMAINS entry; every other
+# claim needs its entry's parameter names, in argument order
+_NEEDS = {"lemmas": ("r", "m", "rho"), "all": ("r", "m", "rho", "n")}
 
 _PARAM_ORDER = ("r", "m", "rho", "n", "d", "s", "t", "h")
 
@@ -120,7 +121,8 @@ def _tasks_for(claim, grid, d_max, full_polys=False):
     skipped = 0
     if claim != "lemmas":
         extra = (full_polys,) if claim == "qcong" else ()
-        for params in itertools.product(*(grid[f] for f in _NEEDS[claim])):
+        names = verifier.DOMAINS[claim][0]
+        for params in itertools.product(*(grid[f] for f in names)):
             if verifier.in_domain(claim, *params):
                 tasks += [(kind, params + extra)
                           for kind in _KINDS.get(claim, (claim,))]
@@ -242,28 +244,27 @@ def _render_csv(spec, verdicts, counts, stopped, timestamp):
         row += [str(v.passed).lower(), v.lhs, v.rhs,
                 json.dumps(v.witness, default=str) if v.witness else ""]
         w.writerow(row)
+    # as wide as the header: pass, fail and skip under r, m and rho, and
+    # "stopped" under pass
     w.writerow(["counts", counts["pass"], counts["fail"], counts["skip"],
-                "", "", "", "", "", "stopped" if stopped else "", "", ""])
+                "", "", "", "", "", "stopped" if stopped else "", "", "", ""])
     return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _poly_lines(name, factored):
-    lines = [f"{name} = {factored!r}"]
-    expanded = expand_product(factored)
-    lines.append(f"{name} = {expanded!r}")
-    lines.append(f"{name}(1) = {factored.value_at_one()}")
-    return lines
+# show object -> (its construct, the construct's flags in argument order)
+_SHOW = {"phi": (phi, ("d",)), "lambda": (lambda_residue, ("r", "m", "d")),
+         "sset": (s_set, ("r", "m", "n")), "A": (a_poly, ("r", "m", "n")),
+         "B": (b_poly, ("r", "m", "n")), "C": (c_poly, ("m", "n")),
+         "N": (n_alpha, ("r", "m", "n"))}
 
 
 def cmd_show(args, parser):
     obj = args.object
-    need = {"phi": ("d",), "lambda": ("r", "m", "d"),
-            "sset": ("r", "m", "n"), "A": ("r", "m", "n"),
-            "B": ("r", "m", "n"), "C": ("m", "n"), "N": ("r", "m", "n")}[obj]
-    for flag in need:
+    construct, flags = _SHOW[obj]
+    for flag in flags:
         if getattr(args, flag) is None:
             parser.error(f"show {obj} needs --{flag}")
     limits = {f: GRID_LIMITS[f][0] for f in ("r", "m", "n")}
@@ -272,34 +273,27 @@ def cmd_show(args, parser):
         value = getattr(args, flag)
         if value is not None and abs(value) > limit:
             parser.error(f"--{flag} {value} exceeds |value| <= {limit}")
-    if "r" in need and "m" in need and not pair_ok(args.r, args.m):
+    if "r" in flags and "m" in flags and not pair_ok(args.r, args.m):
         parser.error(f"show {obj} needs m >= 2 and gcd(r, m) = 1")
-    out = []
+    value = construct(*(getattr(args, flag) for flag in flags))
     if obj == "phi":
-        d = args.d
-        out.append(f"Phi_{d} = {phi(d)!r}")
-        if d >= 2:
-            out.append(f"Phi_{d}(1) = {phi_at_one(d)}")
-    elif obj == "lambda":
-        out.append(str(lambda_residue(args.r, args.m, args.d)))
+        out = [f"Phi_{args.d} = {value!r}"]
+        if args.d >= 2:
+            out.append(f"Phi_{args.d}(1) = {phi_at_one(args.d)}")
     elif obj == "sset":
-        members = s_set(args.r, args.m, args.n)
-        out.append("{" + ", ".join(map(str, members)) + "}")
-    elif obj == "A":
-        out += _poly_lines("A", a_poly(args.r, args.m, args.n))
-    elif obj == "B":
-        out += _poly_lines("B", b_poly(args.r, args.m, args.n))
-    elif obj == "C":
-        out += _poly_lines("C", c_poly(args.m, args.n))
-    elif obj == "N":
-        out.append(str(n_alpha(args.r, args.m, args.n)))
+        out = ["{" + ", ".join(map(str, value)) + "}"]
+    elif isinstance(value, int):
+        out = [str(value)]
+    else:  # a factored product
+        out = [f"{obj} = {value!r}", f"{obj} = {expand_product(value)!r}",
+               f"{obj}(1) = {value.value_at_one()}"]
     print("\n".join(out))
     return 0
 
 
 def cmd_verify(args, parser):
     claims = list(PROVEN) if args.claim == "all" else [args.claim]
-    needed = _NEEDS[args.claim]
+    needed = _NEEDS.get(args.claim) or verifier.DOMAINS[args.claim][0]
     grid = {}
     for flag in ("r", "m", "rho", "n"):
         raw = getattr(args, flag)
@@ -379,8 +373,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_show = sub.add_parser("show", help="print one construct")
-    p_show.add_argument("object",
-                        choices=["phi", "lambda", "sset", "A", "B", "C", "N"])
+    p_show.add_argument("object", choices=list(_SHOW))
     for flag in ("r", "m", "n"):
         p_show.add_argument(f"--{flag}", type=int,
                             help=f"|value| <= {GRID_LIMITS[flag][0]}")

@@ -53,30 +53,39 @@ from .qseries import FactoredQ, poch_ratio
 from .record import Record
 
 
-# claim -> (predicate on its parameters, the same rule in words). Each
-# verify_* raises DomainError outside its claim's entry; `qcongruence verify`
-# skips and counts those instances.
+# claim -> (its parameter names in argument order, a predicate on them,
+# the same rule in words). Each verify_* raises DomainError outside its
+# claim's entry; `qcongruence verify` takes a claim's grid flags from its
+# names, and skips and counts the instances outside its domain. The names
+# are data, never read from a signature: perfbench's tracer replaces these
+# functions with *args wrappers.
 DOMAINS = {
-    "binomsum": (lambda r, m, rho, n: pair_ok(r, m) and rho >= 1 and n >= 1,
+    "binomsum": (("r", "m", "rho", "n"),
+                 lambda r, m, rho, n: pair_ok(r, m) and rho >= 1 and n >= 1,
                  "m >= 2, gcd(r, m) = 1, rho >= 1, n >= 1"),
-    "central": (lambda rho, n: rho >= 2 and n >= 2, "rho >= 2, n >= 2"),
-    "2adic": (lambda rho, n: rho >= 1 and n >= 2, "rho >= 1, n >= 2"),
-    "identities": (lambda r, m, n: pair_ok(r, m) and n >= 1,
+    "central": (("rho", "n"), lambda rho, n: rho >= 2 and n >= 2,
+                "rho >= 2, n >= 2"),
+    "2adic": (("rho", "n"), lambda rho, n: rho >= 1 and n >= 2,
+              "rho >= 1, n >= 2"),
+    "identities": (("r", "m", "n"), lambda r, m, n: pair_ok(r, m) and n >= 1,
                    "m >= 2, gcd(r, m) = 1, n >= 1"),
-    "sun": (lambda n: n >= 2, "n >= 2"),
+    "sun": (("n",), lambda n: n >= 2, "n >= 2"),
 }
 DOMAINS["qcong"] = DOMAINS["binomsum"]
 
 
 def in_domain(claim, *params):
     """Whether params, in the claim's argument order, lie in its domain."""
-    return DOMAINS[claim][0](*params)
+    return DOMAINS[claim][1](*params)
 
 
 def _require(claim, *params):
+    """The params keyed by the claim's names, for its Verdict; DomainError
+    outside its domain."""
+    names, _, rule = DOMAINS[claim]
     if not in_domain(claim, *params):
-        raise DomainError(f"{claim} needs {DOMAINS[claim][1]}; "
-                          f"got {params}")
+        raise DomainError(f"{claim} needs {rule}; got {params}")
+    return dict(zip(names, params))
 
 
 class Verdict(Record):
@@ -183,12 +192,11 @@ def _binomial_sum(r, m, rho, n):
 
 
 def verify_binomial_sum(r, m, rho, n):
-    _require("binomsum", r, m, rho, n)
+    params = _require("binomsum", r, m, rho, n)
     plain, scaled = _binomial_sum(r, m, rho, n)
     modulus = n_alpha(r, m, n)
     ok = _zero_mod(plain, modulus)
     agree = ok == _zero_mod(scaled, modulus) and math.gcd(m, modulus) == 1
-    params = {"r": r, "m": m, "rho": rho, "n": n}
     witness = None
     if not (ok and agree):
         witness = {"sum": str(plain), "scaled_sum": str(scaled),
@@ -232,12 +240,11 @@ def _central_bridge(n):
 
 
 def verify_central_binomial(rho, n):
-    _require("central", rho, n)
+    params = _require("central", rho, n)
     total = _central_sum(rho, n)
     modulus = 2 ** (rho - 2) * n * math.comb(2 * n, n)
     ok = total % modulus == 0
     bridge = _central_bridge(n)
-    params = {"rho": rho, "n": n}
     witness = None
     if not (ok and bridge):
         witness = {"sum": total, "modulus": modulus, "bridge": bridge}
@@ -354,9 +361,8 @@ def _qcong_data(r, m, rho, n):
 
 
 def verify_q_congruence(r, m, rho, n, full_polys=False):
-    _require("qcong", r, m, rho, n)
+    params = _require("qcong", r, m, rho, n)
     data = _qcong_data(r, m, rho, n)
-    params = {"r": r, "m": m, "rho": rho, "n": n}
     remainder = data["remainder"]
     ok = remainder.is_zero and data["nonintegral_k"] is None
     witness = None
@@ -390,9 +396,8 @@ def _prime_support_divides(value, m):
 
 
 def verify_specialization_at_one(r, m, rho, n):
-    _require("qcong", r, m, rho, n)
+    params = _require("qcong", r, m, rho, n)
     data = _qcong_data(r, m, rho, n)
-    params = {"r": r, "m": m, "rho": rho, "n": n}
     plain, scaled = _binomial_sum(r, m, rho, n)
     modulus = n_alpha(r, m, n)
 
@@ -432,13 +437,12 @@ def verify_specialization_at_one(r, m, rho, n):
 def verify_structure_identity(r, m, n):
     """poch_ratio(r,m,n) * b_poly(r,m,n) equals the signed q-power times
     the squarefree product over s_set, as exact factored objects."""
-    _require("identities", r, m, n)
+    params = _require("identities", r, m, n)
     lhs = poch_ratio(r, m, n) * b_poly(r, m, n)
     delta, big_delta = negative_tail(r, m, n)
     rhs = FactoredQ(-1 if delta % 2 else 1, big_delta,
                     {d: 1 for d in s_set(r, m, n)})
     ok = lhs == rhs
-    params = {"r": r, "m": m, "n": n}
     return Verdict("structure", params, ok, repr(lhs), repr(rhs),
                    None if ok else {"lhs": repr(lhs), "rhs": repr(rhs)})
 
@@ -446,11 +450,10 @@ def verify_structure_identity(r, m, n):
 def verify_value_identity(r, m, n):
     """a_poly(1) * c_poly(1) = n_alpha, evaluated through the factored
     forms (no expansion)."""
-    _require("identities", r, m, n)
+    params = _require("identities", r, m, n)
     val = (a_poly(r, m, n) * c_poly(m, n)).value_at_one()
     target = n_alpha(r, m, n)
     ok = val == target
-    params = {"r": r, "m": m, "n": n}
     return Verdict("value_at_one", params, ok, str(val), str(target),
                    None if ok else {"A1C1": str(val), "n_alpha": target})
 
@@ -465,7 +468,7 @@ def _term_ord2(c, rho, j):
 
 
 def verify_two_adic_bounds(rho, n):
-    _require("2adic", rho, n)
+    params = _require("2adic", rho, n)
     bad = None
     central = list(_central(n + 1))
     target = _ord2(n * central[n])
@@ -477,7 +480,6 @@ def verify_two_adic_bounds(rho, n):
             break
     even_ok = all(c % 2 == 0 for c in central[1:])
     ok = bad is None and even_ok
-    params = {"rho": rho, "n": n}
     witness = None
     if not ok:
         witness = bad or {}
@@ -488,7 +490,7 @@ def verify_two_adic_bounds(rho, n):
 
 
 def verify_sun_conjecture(n):
-    _require("sun", n)
+    params = _require("sun", n)
     total = 0
     t = 1  # binom(3k,k)
     for k, c in enumerate(_central(n)):
@@ -496,6 +498,5 @@ def verify_sun_conjecture(n):
         t = t * 3 * (3 * k + 1) * (3 * k + 2) // ((2 * k + 1) * (2 * k + 2))
     modulus = n * math.comb(2 * n, n)
     ok = total % modulus == 0
-    params = {"n": n}
     return Verdict("sun", params, ok, f"sum = {total}", f"0 mod {modulus}",
                    None if ok else {"sum": total, "modulus": modulus})

@@ -1,7 +1,9 @@
 """Command line: output formats, exit codes, determinism."""
 
 import concurrent.futures
+import csv
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -45,6 +47,30 @@ def test_show_lambda_and_sset(capsys):
 def test_show_n(capsys):
     assert run_main(["show", "N", "--r", "1", "--m", "2", "--n", "3"]) == 0
     assert capsys.readouterr().out.strip() == "15"
+
+
+# Exact stdout of every `show` object. B and C use m = 3, so a construct
+# handed its flags in the wrong order prints something else.
+SHOW_STDOUT = {
+    "phi --d 1": "Phi_1 = q - 1\n",
+    "phi --d 12": "Phi_12 = q^4 - q^2 + 1\nPhi_12(1) = 1\n",
+    "lambda --r 2 --m 3 --d 7": "4\n",
+    "sset --r 2 --m 3 --n 4": "{5, 8, 11}\n",
+    "N --r 2 --m 3 --n 4": "440\n",
+    "A --r 1 --m 2 --n 3":
+        "A = Phi_5\nA = q^4 + q^3 + q^2 + q + 1\nA(1) = 5\n",
+    "B --r 1 --m 3 --n 2":
+        "B = Phi_3^2 * Phi_6\n"
+        "B = q^6 + q^5 + 2*q^4 + q^3 + 2*q^2 + q + 1\nB(1) = 9\n",
+    "C --m 3 --n 4":
+        "C = Phi_2 * Phi_4\nC = q^3 + q^2 + q + 1\nC(1) = 4\n",
+}
+
+
+@pytest.mark.parametrize("argv", SHOW_STDOUT)
+def test_show_output_pinned(argv, capsys):
+    assert run_main(["show", *argv.split()]) == 0
+    assert capsys.readouterr().out == SHOW_STDOUT[argv]
 
 
 def test_show_missing_flag_exits_nonzero():
@@ -149,10 +175,14 @@ def test_csv_format(capsys):
     code = run_main(["verify", "central", "--rho", "2", "--n", "2..3",
                      "--format", "csv", "--no-timestamp", "--jobs", "1"])
     assert code == 0
-    lines = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
+    lines = out.splitlines()
     assert lines[0].startswith("claim,r,m,rho,n,d,s,t,h,pass")
     assert lines[1].startswith("central,,,2,2,,,,,true")
     assert lines[-1].startswith("counts,2,0,0")
+    # every row, the counts row too, is as wide as the header
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [len(row) for row in rows] == [len(rows[0])] * len(rows)
 
 
 def test_report_determinism(tmp_path):
@@ -304,8 +334,11 @@ def _no_work(*args, **kwargs):
     ["show", "N", "--r", "1", "--m", "2", "--n", "101"],
 ])
 def test_input_above_ceiling_exits_2_before_work(argv, monkeypatch):
-    for name in ("_tasks_for", "_run_all", "phi", "n_alpha"):
+    for name in ("_tasks_for", "_run_all"):
         monkeypatch.setattr(cli, name, _no_work)
+    # `show` calls its constructs through its table
+    for obj, (_, flags) in cli._SHOW.items():
+        monkeypatch.setitem(cli._SHOW, obj, (_no_work, flags))
     with pytest.raises(SystemExit) as err:
         run_main(argv)
     assert err.value.code == 2
@@ -347,7 +380,8 @@ PINNED_SPEC = ["verify", "all", "--r=-3..3", "--m", "2..4", "--rho", "1..3",
 PINNED_SHA256 = {
     "text": "039cf5f6a4bfb189213bd4ee7a67ac458a2d486f5e7eb2e731cc477e1f1002af",
     "json": "5743714dfd2914159ace57af84d1499216c172801774606c21697ea35afa5535",
-    "csv": "52a9c8c12bcb95652d10c428f8eb7f1c78ecdacbe3b0223f00510eabce290c91",
+    # taken when the counts row was padded to the header's 13 fields
+    "csv": "3fb8f555315af8872f8aaadc6539070c8ad314c044811560cd4df8095d7e14da",
 }
 
 
