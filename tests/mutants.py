@@ -15,10 +15,10 @@ script before anything runs, so a refactor that moves the code has to
 update this table. Hypothesis runs with a fixed seed, so a result repeats
 from run to run.
 
-The whole table (49 mutants) took 59-80 s on a 2-core host with
-Python 3.11, where the 45 before it took 63-72 s the same day (42-46 s
-when first measured; most of the time is interpreter start-up and test
-collection); keep it under 90 s, inside CI's two-minute step.
+The whole table (53 mutants) took 57-63 s on a 2-core host with
+Python 3.11, where the 49 before it took 57-80 s (most of the time is
+interpreter start-up and test collection); keep it under 90 s, inside
+CI's two-minute step.
 pytest does not collect this file (its testpaths pick up test_*.py only).
 A new oracle adds its mutants here.
 """
@@ -51,6 +51,7 @@ FRACTION_ORACLE = "tests/test_fraction_oracle.py::"
 DOMAIN_RULE = ("tests/test_domains.py::"
                "test_domain_error_exactly_outside_the_rule")
 DIVISION = "tests/test_bigpoly.py::test_division_matches_sympy"
+SLOT_BOUND = "tests/test_bigpoly.py::test_kronecker_at_the_slot_bound"
 AC_WITNESS = ("tests/test_verifier.py::"
               "test_q_congruence_witness_when_ac_does_not_divide")
 INTEGER_ORACLE = "tests/test_integer_oracles.py::"
@@ -127,6 +128,18 @@ MUTANTS = [
      "return self.gpow > 0 or _rem_phi(self.num, self.d).is_zero",
      "return _rem_phi(self.num, self.d).is_zero",
      ["tests/test_cycmodfield.py::test_qbinom_reduction_grid"]),
+    ("Kronecker slot one bit short", BIGPOLY,
+     "nbytes = (bound.bit_length() + 8) // 8",
+     "nbytes = (bound.bit_length() + 7) // 8", [SLOT_BOUND]),
+    ("Kronecker bias byte at the wrong end of the slot", BIGPOLY,
+     "(bytes(nbytes - 1) + b\"\\x80\")", "(b\"\\x80\" + bytes(nbytes - 1))",
+     [SLOT_BOUND]),
+    ("Kronecker bound forgets the shorter length", BIGPOLY,
+     "bound = maxa * maxb * min(len(a), len(b))", "bound = maxa * maxb",
+     [SLOT_BOUND]),
+    ("_pack drops the negative entries", BIGPOLY,
+     "        elif c:\n            neg[",
+     "        elif False:\n            neg[", [SLOT_BOUND]),
     ("_long_div drops the divmod", BIGPOLY,
      "            c, rest = divmod(c, lead)\n", "            rest = 0\n",
      [DIVISION]),

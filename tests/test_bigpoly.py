@@ -77,6 +77,30 @@ def test_kronecker_matches_schoolbook(a, b):
     assert _mul_kronecker(a, b) == _mul_school(a, b)
 
 
+# Operand lengths for the slot-bound oracle, from 1 to 300, with the
+# shorter side's length at both sides of 128 and 256.
+SLOT_LENGTHS = [(1, 1), (1, 300), (300, 1), (2, 3), (127, 300), (128, 129),
+                (255, 256), (256, 255), (300, 300)]
+
+
+@pytest.mark.parametrize("M", [2**8 - 1, 2**8, 2**16 - 1, 2**16,
+                               2**24 - 1, 2**24])
+def test_kronecker_at_the_slot_bound(M):
+    # With every entry +-M, the middle coefficients of the product are
+    # +-M^2 min(len a, len b): exactly the bound the slot width is made
+    # from. For each M some length pair makes that bound's bit length a
+    # multiple of 8 (length 1 for M = 2^(8k) - 1, 128..255 for M = 2^(8k)),
+    # where a slot one bit narrower would overflow.
+    assert any((M * M * min(la, lb)).bit_length() % 8 == 0
+               for la, lb in SLOT_LENGTHS)
+    for la, lb in SLOT_LENGTHS:
+        for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+            a, b = [sa * M] * la, [sb * M] * lb
+            assert _mul_kronecker(a, b) == _mul_school(a, b), (M, la, lb)
+        assert _mul_kronecker([0] * la, [M] * lb) == [0] * (la + lb - 1)
+        assert _mul_kronecker([-M] * la, [0] * lb) == [0] * (la + lb - 1)
+
+
 @given(coeff_lists, coeff_lists)
 @settings(max_examples=80, deadline=None)
 def test_product_evaluates_pointwise(a, b):
