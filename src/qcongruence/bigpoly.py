@@ -1,6 +1,7 @@
 """
-Dense exact polynomial arithmetic over Z, plus integer Laurent
-polynomials.
+Dense exact polynomial arithmetic over Z, plus LaurentInt, an integer
+Laurent polynomial held as a normalised (base, shift) value with a product
+only.
 
 Coefficients are stored ascending, entry i holding the coefficient of q^i,
 with trailing zeros trimmed so every value has exactly one representation.
@@ -261,15 +262,10 @@ class IntPoly(Record):
             out[i] += c
         return IntPoly(out)
 
-    def __neg__(self):
-        return IntPoly([-c for c in self.coeffs])
-
     def __sub__(self, other):
-        return self + (-other)
+        return self + IntPoly([-c for c in other.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly([other * c for c in self.coeffs])
         if self.is_zero or other.is_zero:
             return IntPoly()
         return IntPoly(mul_lists(list(self.coeffs), list(other.coeffs)))
@@ -333,7 +329,9 @@ class LaurentInt(Record):
     """An integer Laurent polynomial, base * q^shift.
 
     Normalized so the base has a nonzero constant term (or is zero with
-    shift 0), which makes equality structural.
+    shift 0), which makes equality structural. Built by q_int,
+    FactoredQ.expand and the q-congruence's cleared sum; its one operation
+    is the product.
 
     >>> LaurentInt(IntPoly(0, -1, -1), -3)
     -q^-1 - q^-2
@@ -355,26 +353,6 @@ class LaurentInt(Record):
 
     def __repr__(self):
         return _fmt_terms(self.base.coeffs, self.shift)
-
-    @property
-    def is_zero(self):
-        return self.base.is_zero
-
-    def __add__(self, other):
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        s = min(self.shift, other.shift)
-        a = IntPoly((0,) * (self.shift - s) + self.base.coeffs)
-        b = IntPoly((0,) * (other.shift - s) + other.base.coeffs)
-        return LaurentInt(a + b, s)
-
-    def __neg__(self):
-        return LaurentInt(-self.base, self.shift)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         return LaurentInt(self.base * other.base, self.shift + other.shift)

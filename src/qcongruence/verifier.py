@@ -32,15 +32,18 @@ The q-congruence path never expands term by term. It steps
 R_k = b_poly^rho ((q^r;q^m)_k / (q^m;q^m)_k)^rho from k to k + 1 by exact
 1 - q^h passes (bigpoly.mul_binom, div_binom), so each cleared summand
 [2mk+r]_q R_k is integral by construction. Their twisted sum, the cleared
-sum, is reduced modulo the monic a_poly * c_poly; that one remainder
-settles the divisibility and is a failure's witness. A grid sweeps n
-innermost, so the cleared sum at n resumes from the one at n - 1.
+sum, is built as one flat coefficient list at a running low exponent, each
+summand added into it in place, and is reduced modulo the monic a_poly *
+c_poly; that one remainder settles the divisibility and is a failure's
+witness. A grid sweeps n innermost, so the cleared sum at n resumes from
+the list and low exponent left at n - 1.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
 import math
+import operator
 import sys
 import types
 from fractions import Fraction
@@ -257,7 +260,8 @@ def verify_central_binomial(rho, n):
 
 
 # The last integral build of the cleared sum, which _cleared_sum resumes
-# from: ((r, m, rho), n, R_{n-1} as a list, its sign, its shift, cleared).
+# from: ((r, m, rho), n, R_{n-1} as a list, its sign, its shift, the
+# cleared sum's coefficient list, its low exponent).
 _resume = None
 
 
@@ -281,20 +285,22 @@ def _cleared_sum(r, m, rho, n):
     """(cleared, nonintegral_k) for _qcong_data, resumed from _resume when
     it holds the same (r, m, rho) at some n0 <= n, and otherwise from the
     empty state n0 = 0, R = 1, cleared = 0 through the same loop. A build
-    that meets a non-integral summand leaves no state to resume from."""
+    that meets a non-integral summand leaves no state to resume from.
+
+    The sum stays one coefficient list cs at a running low exponent low
+    until the return: each summand adds into its slice in place, after cs
+    is padded with zeros below (moving low down) or above to reach it."""
     global _resume
-    # R_k is sign * q^shift * R
+    # R_k is sign * q^shift * R; the cleared sum is q^low * cs
     if _resume is not None and _resume[0] == (r, m, rho) and _resume[1] <= n:
-        _, n0, R, sign, shift, cleared = _resume
+        _, n0, R, sign, shift, cs, low = _resume
     else:
-        n0, R, sign, shift, cleared = 0, [1], 1, 0, LaurentInt(IntPoly(), 0)
+        n0, R, sign, shift, cs, low = 0, [1], 1, 0, [], 0
     _resume = None
-    cs = list(cleared.base.coeffs)
     for j in range(n0 + 1, n + 1):
         R = _times_f(R, m, rho, j)
         if cs:  # a zero sum stays zero, with no padding
             cs = _times_f(cs, m, rho, j)
-    cleared = LaurentInt(IntPoly(cs), cleared.shift)
 
     nonintegral_k = None
     for k in range(n0, n):
@@ -313,12 +319,18 @@ def _cleared_sum(r, m, rho, n):
         twist, e = summand_twist(r, m, rho, k)
         if x < 0:  # [x]_q = -q^x [-x]_q
             twist, e = -twist, e + x
-        term = LaurentInt(IntPoly(div_binom(mul_binom(R, abs(x)), 1)),
-                          shift + e)
-        cleared = cleared + term if sign * twist > 0 else cleared - term
+        term = div_binom(mul_binom(R, abs(x)), 1)
+        at = shift + e
+        if at < low:
+            cs[:0] = [0] * (low - at)
+            low = at
+        i = at - low
+        cs.extend([0] * (i + len(term) - len(cs)))
+        op = operator.add if sign * twist > 0 else operator.sub
+        cs[i:i + len(term)] = map(op, cs[i:i + len(term)], term)
     if nonintegral_k is None:
-        _resume = ((r, m, rho), n, R, sign, shift, cleared)
-    return cleared, nonintegral_k
+        _resume = ((r, m, rho), n, R, sign, shift, cs, low)
+    return LaurentInt(IntPoly(cs), low), nonintegral_k
 
 
 @functools.lru_cache(maxsize=1)
@@ -342,7 +354,9 @@ def _qcong_data(r, m, rho, n):
     Grids sweep n innermost, so the cleared sum resumes from the previous
     instance (_cleared_sum). B_n = B_{n0} prod_{n0<j<=n} F_j, and every
     summand carries B_n^rho, so cleared_{n0} and R_{n0-1} are scaled by
-    F_j^rho for n0 < j <= n, and only the summands k >= n0 are added.
+    F_j^rho for n0 < j <= n, and only the summands k >= n0 are added. The
+    sum is carried as one coefficient list at a running low exponent, and
+    becomes a LaurentInt only when the build returns.
 
     "remainder" is the cleared sum's base modulo the expanded a_poly *
     c_poly, zero exactly when that product divides the cleared sum.

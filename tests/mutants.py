@@ -15,8 +15,8 @@ script before anything runs, so a refactor that moves the code has to
 update this table. Hypothesis runs with a fixed seed, so a result repeats
 from run to run.
 
-The whole table (53 mutants) took 57-63 s on a 2-core host with
-Python 3.11, where the 49 before it took 57-80 s (most of the time is
+The whole table (56 mutants) took 52-54 s on a 2-core host with
+Python 3.11, where the 53 before it took 57-63 s (most of the time is
 interpreter start-up and test collection); keep it under 90 s, inside
 CI's two-minute step.
 pytest does not collect this file (its testpaths pick up test_*.py only).
@@ -76,6 +76,16 @@ MUTANTS = [
     ("[x]_q drops the -q^x sign", VERIFIER,
      "twist, e = -twist, e + x", "twist, e = twist, e + x",
      [QCONG_ORACLE + "[-1-2]"]),
+    ("the summand is placed at the low end of the cleared sum", VERIFIER,
+     "        i = at - low\n", "        i = 0\n",
+     [QCONG_ORACLE + "[-3-2]"]),
+    ("the cleared sum's low-end pad is one short", VERIFIER,
+     "cs[:0] = [0] * (low - at)", "cs[:0] = [0] * (low - at - 1)",
+     [QCONG_ORACLE + "[-3-2]"]),
+    ("the cleared sum's top pad is one short", VERIFIER,
+     "cs.extend([0] * (i + len(term) - len(cs)))",
+     "cs.extend([0] * (i + len(term) - len(cs) - 1))",
+     [QCONG_ORACLE + "[-3-2]"]),
     ("summand_twist signs by (-1)^k", CONSTRUCTS,
      "sign = -1 if rho * k % 2 else 1", "sign = -1 if k % 2 else 1",
      ["tests/test_verifier.py::test_specialization_consistency"]),

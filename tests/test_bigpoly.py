@@ -194,8 +194,8 @@ def test_laurent_normalization_and_ops():
     assert x.base == IntPoly(1, 1)
     y = LaurentInt(IntPoly(1), -2)
     assert (x * y).shift == -1
-    assert (x + y).base.evaluate(1) == x.base.evaluate(1) + 1
-    assert (x - x).base.is_zero
+    assert (x * y).base == x.base
+    assert LaurentInt(IntPoly(0, 0), -5) == LaurentInt(IntPoly())
 
 
 @st.composite
@@ -208,7 +208,7 @@ def division_cases(draw):
     mode = draw(st.sampled_from(["random", "multiple", "half"]))
     if mode == "half" and lead % 2 == 0:
         g0 = IntPoly(draw(small) + [lead // 2])
-        return g0 * IntPoly(draw(small)), g0 * 2
+        return g0 * IntPoly(draw(small)), g0 * IntPoly(2)
     g = IntPoly(draw(small) + [lead])
     if mode == "random":
         return IntPoly(draw(small)), g

@@ -456,11 +456,20 @@ CEILING_SHA256 = {
     # ValueError, so the hash could only be taken after that fix
     "qcong --r 1 --m 2 --rho 6 --n 39":
         "b1172cd6085a9f0f8e1760eeb301a82648c0d3f6e7785836a5b7e23d1aa19c24",
+    # a sweep at the most negative r: each n resumes the cleared sum from
+    # n - 1, and 4 of the 10 summands land above its running low exponent
+    "qcong --r=-49 --m 10 --rho 6 --n 1..10":
+        "d206bcb874e86e9cf603c30212d40b630308ec4513acccadea5f3a8ded8d74f8",
 }
 
 
-@pytest.mark.parametrize("spec", sorted(CEILING_SHA256),
-                         ids=lambda spec: spec.split()[0])
+def _ceiling_id(spec):
+    """The claim's name, and "sweep" for a q-congruence over a range of n."""
+    claim = spec.split()[0]
+    return claim + "-sweep" if claim == "qcong" and ".." in spec else claim
+
+
+@pytest.mark.parametrize("spec", sorted(CEILING_SHA256), ids=_ceiling_id)
 def test_ceiling_report_bytes_pinned(spec, tmp_path):
     out = tmp_path / "report.json"
     assert run_main(["verify", *spec.split(), "--jobs", "1", "--format",

@@ -98,7 +98,7 @@ def test_q_int():
     assert q_int(1).base == IntPoly(1)
     assert q_int(5).base == IntPoly(1, 1, 1, 1, 1)
     assert q_int(5).shift == 0
-    assert q_int(0).is_zero
+    assert q_int(0) == LaurentInt(IntPoly())
     neg = q_int(-2)
     assert isinstance(neg, LaurentInt)
     # [-n]_q = -q^{-n} [n]_q
