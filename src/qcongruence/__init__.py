@@ -4,7 +4,8 @@ for divisibility of the binomial sums they specialize to at q = 1.
 
 The package is organized bottom-up:
 
-  bigpoly     dense integer polynomials, Laurent wrappers, the 1 - q^h kernel
+  bigpoly     dense integer polynomials; LaurentInt, a normalised
+              (base, shift) value with a product only; the 1 - q^h kernel
   cyclotomic  Phi_d, Euler phi, divisors, q-integers
   qseries     factored products of cyclotomics; Pochhammer symbols
   constructs  the named objects A, B, C, N and the index set S

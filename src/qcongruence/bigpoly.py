@@ -7,9 +7,10 @@ Coefficients are stored ascending, entry i holding the coefficient of q^i,
 with trailing zeros trimmed so every value has exactly one representation.
 The zero polynomial is the empty tuple, and its degree is None.
 
-The convolution of two coefficient lists, mul_lists, picks between
+The convolution of two coefficient sequences, mul_lists, picks between
 schoolbook (iterating over the operand with fewer nonzero entries, so
-multiplying by a binomial stays linear in the other operand) and Kronecker
+multiplying by a binomial stays linear in the other operand and a zero
+operand, which costs no products, takes the schoolbook loop) and Kronecker
 substitution for two genuinely dense operands: each list a becomes one
 signed integer A(2^w) in fixed byte-aligned slots of w bits, CPython forms
 the one product A(2^w) B(2^w), and the convolution is read back out of the
@@ -93,7 +94,9 @@ def _pack(cs, nbytes):
 def _mul_kronecker(a, b):
     maxa = max(map(abs, a), default=0)
     maxb = max(map(abs, b), default=0)
-    # bound 0 would give slots too narrow to pack the other operand
+    # mul_lists sends a zero operand to _mul_school and never gets here, but
+    # the kernel is also called directly: bound 0 would give slots too
+    # narrow to pack the other operand
     if maxa == 0 or maxb == 0:
         return [0] * max(len(a) + len(b) - 1, 0)
     # |c_k| <= bound < half = 2^(w - 1), so each biased slot c_k + half lies
@@ -121,13 +124,13 @@ def _mul_school(a, b):
 
 
 def mul_lists(a, b):
-    """Exact convolution of two nonempty coefficient lists."""
-    nza = sum(1 for c in a if c)
-    nzb = sum(1 for c in b if c)
+    """Exact convolution of two coefficient sequences, as a list of
+    len(a) + len(b) - 1 entries. A zero operand costs no products, so it
+    takes the schoolbook loop, whose result is then all zeros."""
+    nza = len(a) - a.count(0)
+    nzb = len(b) - b.count(0)
     if nza > nzb:
         a, b, nza, nzb = b, a, nzb, nza
-    if nza == 0:
-        return []
     if nza * len(b) < _KRON_MIN_OPS:
         return _mul_school(a, b)
     return _mul_kronecker(a, b)
@@ -266,9 +269,7 @@ class IntPoly(Record):
         return self + IntPoly([-c for c in other.coeffs])
 
     def __mul__(self, other):
-        if self.is_zero or other.is_zero:
-            return IntPoly()
-        return IntPoly(mul_lists(list(self.coeffs), list(other.coeffs)))
+        return IntPoly(mul_lists(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -289,7 +290,7 @@ class IntPoly(Record):
         >>> IntPoly(6, -9, 3).content()
         3
         """
-        return math.gcd(*self.coeffs) if self.coeffs else 0
+        return math.gcd(*self.coeffs)
 
     def div_exact(self, other):
         """Quotient self / other when the division is exact over Z.
@@ -305,8 +306,6 @@ class IntPoly(Record):
         """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return IntPoly()
         out = _long_div(self.coeffs, other.coeffs)
         dn = len(other.coeffs) - 1
         if any(out[:dn]):

@@ -87,7 +87,11 @@ def _parse_range(text, limit, most):
 # ---------------------------------------------------------------------------
 # task construction and execution
 
-# task kinds an instance runs, where they differ from its claim's name
+# task kinds an instance runs, where they differ from its claim's name.
+# identities stays two tasks: run as one, the benchmark's cli-sweep spec
+# would go from 1,361 tasks to 1,265 and, from its measured per-task times
+# (mean of 5 --jobs 1 runs, 2-core host), its median task from 0.100 to
+# 0.114 ms and its 95th percentile from 2.39 to 2.67 ms.
 _KINDS = {"identities": ("structure", "value_at_one")}
 
 # task kind -> the verifier functions it runs, in report order, each with

@@ -68,8 +68,6 @@ def lambda_residue(r, m, d):
         raise DomainError(f"modulus {d}")
     if math.gcd(d, m) != 1:
         raise DomainError(f"gcd({d}, {m}) > 1; no lambda residue")
-    if d == 1:
-        return 0
     return (-r) * pow(m, -1, d) % d
 
 

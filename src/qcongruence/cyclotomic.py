@@ -148,8 +148,6 @@ def q_int(n):
     >>> q_int(0)
     0
     """
-    if n == 0:
-        return LaurentInt(IntPoly(), 0)
-    if n > 0:
+    if n >= 0:
         return LaurentInt(IntPoly([1] * n), 0)
     return LaurentInt(IntPoly([-1] * (-n)), n)

@@ -15,10 +15,9 @@ script before anything runs, so a refactor that moves the code has to
 update this table. Hypothesis runs with a fixed seed, so a result repeats
 from run to run.
 
-The whole table (56 mutants) took 52-54 s on a 2-core host with
-Python 3.11, where the 53 before it took 57-63 s (most of the time is
-interpreter start-up and test collection); keep it under 90 s, inside
-CI's two-minute step.
+The whole table (56 mutants) took 52-60 s on a 2-core host with
+Python 3.11 (most of the time is interpreter start-up and test
+collection); keep it under 90 s, inside CI's two-minute step.
 pytest does not collect this file (its testpaths pick up test_*.py only).
 A new oracle adds its mutants here.
 """

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcongruence.bigpoly import (IntPoly, LaurentInt, _mul_kronecker,
-                                 _mul_school, div_binom, fold, mul_binom)
+                                 _mul_school, div_binom, fold, mul_binom,
+                                 mul_lists)
 from qcongruence.exceptions import NotDivisible
 
 coeff_lists = st.lists(st.integers(-10**6, 10**6), min_size=0, max_size=40)
@@ -61,6 +62,7 @@ def test_content_and_lead():
 def test_div_exact_and_failure():
     f = IntPoly(1, 1) * IntPoly(3, 0, 2)
     assert f.div_exact(IntPoly(1, 1)) == IntPoly(3, 0, 2)
+    assert IntPoly().div_exact(IntPoly(1, 1)).is_zero
     with pytest.raises(NotDivisible):
         IntPoly(1, 0, 1).div_exact(IntPoly(1, 1))
 
@@ -99,6 +101,26 @@ def test_kronecker_at_the_slot_bound(M):
             assert _mul_kronecker(a, b) == _mul_school(a, b), (M, la, lb)
         assert _mul_kronecker([0] * la, [M] * lb) == [0] * (la + lb - 1)
         assert _mul_kronecker([-M] * la, [0] * lb) == [0] * (la + lb - 1)
+
+
+def test_zero_product_at_both_kernel_sizes():
+    # a zero operand takes the schoolbook loop at any length; the dense
+    # operand alone would be long enough for the Kronecker product
+    M = 2**24
+    assert mul_lists([0] * 300, [M] * 300) == [0] * 599
+    assert mul_lists([M] * 300, [0] * 300) == [0] * 599
+    assert mul_lists([], [M] * 5) == [0] * 4
+    assert mul_lists([], []) == []
+    dense = IntPoly([M] * 300)
+    assert (IntPoly() * dense).is_zero
+    assert (dense * IntPoly()).is_zero
+
+
+def test_tuple_operands_match_list_operands():
+    a = [i % 7 - 3 for i in range(300)]
+    b = [(i * i) % 11 - 5 for i in range(250)]
+    product = mul_lists(tuple(a), tuple(b))
+    assert product == mul_lists(a, b) == _mul_school(a, b)
 
 
 @given(coeff_lists, coeff_lists)

@@ -32,7 +32,7 @@ def test_lambda_residue():
     assert lambda_residue(-5, 3, 7) == 4
     assert lambda_residue(1, 3, 4) == 1
     for r, m in coprime_pairs:
-        for d in range(2, 25):
+        for d in range(1, 25):
             if math.gcd(d, m) == 1:
                 lam = lambda_residue(r, m, d)
                 assert 0 <= lam < d
