@@ -8,7 +8,8 @@ The package is organized bottom-up:
               (base, shift) value with a product only; the 1 - q^h kernel
   cyclotomic  Phi_d, Euler phi, divisors, q-integers
   qseries     factored products of cyclotomics; Pochhammer symbols
-  constructs  the named objects A, B, C, N and the index set S
+  constructs  the named objects A, B, C, N and the index set S, and the
+              Pochhammer pairs behind every binom(-r/m, k)
   cycmodfield folded per-modulus checks mod Phi_d
   verifier    claim-level verdicts over exact integers and polynomials
   cli         `qcongruence show ...` and `qcongruence verify ...`

@@ -269,6 +269,8 @@ class IntPoly(Record):
         return self + IntPoly([-c for c in other.coeffs])
 
     def __mul__(self, other):
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         return IntPoly(mul_lists(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
@@ -354,6 +356,8 @@ class LaurentInt(Record):
         return _fmt_terms(self.base.coeffs, self.shift)
 
     def __mul__(self, other):
+        if not isinstance(other, LaurentInt):
+            return NotImplemented
         return LaurentInt(self.base * other.base, self.shift + other.shift)
 
     __rmul__ = __mul__

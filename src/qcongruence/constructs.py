@@ -17,6 +17,9 @@ rational number, and n >= 1 is a length. The objects built here:
                             sharing a factor with m, d <= n*m
   c_poly(m, n)              product of Phi_d over divisors d >= 2 of n
                             coprime to m
+  rising(r, m, n)           the pairs (prod_{j<k} (r + jm), m^k k!) for
+                            k = 0..n, so binom(-alpha, k) is (-1)^k times
+                            their quotient
   n_alpha(r, m, n)          numerator of n * |binomial(-alpha, n)|
 
 a_poly and c_poly are squarefree and disjoint (no d in the s_set divides n),
@@ -155,11 +158,26 @@ def expand_product(f):
     return f.expand().base
 
 
+def rising(r, m, n):
+    """Yield (num_k, den_k) = (prod_{j<k} (r + jm), m^k k!) for k = 0..n,
+    unreduced, so binom(-r/m, k) = (-1)^k num_k / den_k. Every claim's
+    binom(-alpha, k) is read from here.
+
+    >>> list(rising(1, 2, 3))
+    [(1, 1), (1, 2), (3, 8), (15, 48)]
+    """
+    num = den = 1
+    for k in range(n + 1):
+        yield num, den
+        num *= r + k * m
+        den *= m * (k + 1)
+
+
 def n_alpha(r, m, n):
     """Numerator of n * |binomial(-alpha, n)| for alpha = r/m not integral.
 
-    binomial(-alpha, n) = prod_{j<n} -(r + jm) / (m^n n!), so this is
-    n |prod_{j<n} (r + jm)| over m^n n!, reduced once by their gcd.
+    binomial(-alpha, n) = (-1)^n num_n / den_n (see rising), so this is
+    n |num_n| over den_n, reduced once by their gcd.
 
     >>> n_alpha(1, 2, 3)
     15
@@ -172,11 +190,8 @@ def n_alpha(r, m, n):
         raise DomainError(f"alpha = {r}/{m} is an integer")
     if n < 1:
         raise DomainError(f"length {n}")
-    num = n
-    for j in range(n):
-        num *= r + j * m
-    num = abs(num)
-    return num // math.gcd(num, m ** n * math.factorial(n))
+    *_, (num, den) = rising(r, m, n)
+    return abs(n * num) // math.gcd(n * num, den)
 
 
 def negative_tail(r, m, n):

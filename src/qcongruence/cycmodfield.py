@@ -27,7 +27,7 @@ import math
 import operator
 
 from .bigpoly import IntPoly, fold, mul_lists
-from .constructs import lambda_residue, pair_ok, summand_twist
+from .constructs import lambda_residue, pair_ok, rising, summand_twist
 from .cyclotomic import phi
 from .exceptions import DomainError
 from .record import Record
@@ -164,9 +164,11 @@ def _scalar_c(r, m, d, s):
     """The block scalar c_s as an integer pair (numerator, denominator): the
     rising factorial of w/m over s steps divided by s!, where
     w = (r + lambda*m)/d is the integer the vanishing binomial contributes;
-    that is prod_{i<s} (w + i*m) / (m^s s!), not reduced."""
+    that is constructs.rising's pair at k = s, prod_{i<s} (w + i*m) over
+    m^s s!, not reduced."""
     w = (r + lambda_residue(r, m, d) * m) // d
-    return math.prod(w + i * m for i in range(s)), m ** s * math.factorial(s)
+    *_, (num, den) = rising(w, m, s)
+    return num, den
 
 
 def check_block_constant(r, m, d):

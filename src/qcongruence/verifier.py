@@ -50,7 +50,8 @@ from fractions import Fraction
 
 from .bigpoly import IntPoly, LaurentInt, div_binom, mul_binom
 from .constructs import (a_poly, b_poly, c_poly, expand_product, n_alpha,
-                         negative_tail, pair_ok, s_set, summand_twist)
+                         negative_tail, pair_ok, rising, s_set,
+                         summand_twist)
 from .exceptions import DomainError, NotDivisible
 from .qseries import FactoredQ, poch_ratio
 from .record import Record
@@ -178,20 +179,17 @@ def _binomial_sum(r, m, rho, n):
     """(plain, scaled): sums of (2k+alpha) and (2mk+r) times
     binom(-alpha,k)^rho over k < n, each a Fraction in lowest terms.
 
-    binom(-alpha, k) = num_k / den_k with num_k = prod_{j<k} -(r + jm) and
-    den_k = m^k k!, so the sum runs in integers over den_k^rho: each step
-    rescales the total by (den_k / den_{k-1})^rho = (mk)^rho, and scaled
-    is normalised once, at the end. Since 2k + alpha = (2mk + r) / m,
-    plain is scaled over m.
+    binom(-alpha, k) = (-1)^k num_k / den_k with the pairs from
+    constructs.rising, so the sum runs in integers over den_k^rho: each
+    step rescales the total by (den_k / den_{k-1})^rho = (mk)^rho (at
+    k = 0 the total is still 0), and scaled is normalised once, at the
+    end. Since 2k + alpha = (2mk + r) / m, plain is scaled over m. At
+    n = 0 both sums are 0.
     """
-    num = den = 1
-    total = 0
-    for k in range(n):
-        if k:
-            num *= -(r + (k - 1) * m)
-            den *= m * k
-            total *= (m * k) ** rho
-        total += (2 * m * k + r) * num ** rho
+    total, den = 0, 1
+    for k, (num, den) in enumerate(rising(r, m, n - 1)):
+        total *= (m * k) ** rho
+        total += (-1) ** (rho * k) * (2 * m * k + r) * num ** rho
     scaled = Fraction(total, den ** rho)
     return scaled / m, scaled
 
@@ -229,19 +227,14 @@ def _central_sum(rho, n):
 def _central_bridge(n):
     """Whether binom(-1/2, k) (-4)^k = binom(2k, k) for every k < n.
 
-    Both sides follow the same first order recurrence, so they are carried
-    forward together instead of recomputed. binom(-1/2, k) is num / den
-    with num = prod_{j<k} -(2j + 1) and den = 2^k k!, so each k compares
-    the integer cross-products num (-4)^k and binom(2k, k) den.
+    binom(-1/2, k) = (-1)^k num_k / den_k with the pairs of
+    constructs.rising at r = 1, m = 2, so each k compares the integer
+    cross-products num_k 4^k and binom(2k, k) den_k. _central is its own
+    recurrence, so the bridge checks the shared generator against an
+    independent one.
     """
-    num = den = pow4 = 1
-    for k, central in enumerate(_central(n)):
-        if num * pow4 != central * den:
-            return False
-        num *= -(2 * k + 1)
-        den *= 2 * (k + 1)
-        pow4 *= -4
-    return True
+    return all(num * 4 ** k == central * den for k, (central, (num, den))
+               in enumerate(zip(_central(n), rising(1, 2, n))))
 
 
 def verify_central_binomial(rho, n):
@@ -274,13 +267,19 @@ def reset_qcong():
     _qcong_data.cache_clear()
 
 
+def _coprime_part(x, m):
+    """x with every prime factor it shares with m divided out."""
+    g = math.gcd(x, m)
+    while g > 1:
+        x //= g
+        g = math.gcd(x, m)
+    return x
+
+
 def _times_f(cs, m, rho, j):
     """cs times F_j^rho (see _qcong_data). F_j is a polynomial, so with
     every multiply first, every division is exact."""
-    jp = j
-    while math.gcd(jp, m) > 1:
-        jp //= math.gcd(jp, m)
-    return div_binom(mul_binom(cs, m * j, rho), jp, rho)
+    return div_binom(mul_binom(cs, m * j, rho), _coprime_part(j, m), rho)
 
 
 def _cleared_sum(r, m, rho, n):
@@ -404,11 +403,7 @@ def _prime_support_divides(value, m):
     this code it guards b_poly rather than testing the claim: a B built by
     any other rule fails it, as the negative control in
     tests/test_integer_oracles.py shows. It is kept as a fault detector."""
-    g = math.gcd(value, m)
-    while g > 1:
-        value //= g
-        g = math.gcd(value, m)
-    return value == 1
+    return _coprime_part(value, m) == 1
 
 
 def verify_specialization_at_one(r, m, rho, n):

@@ -1,6 +1,7 @@
 """Dense polynomial layer: exact arithmetic, exact division, Laurent shifts."""
 
 import math
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -218,6 +219,22 @@ def test_laurent_normalization_and_ops():
     assert (x * y).shift == -1
     assert (x * y).base == x.base
     assert LaurentInt(IntPoly(0, 0), -5) == LaurentInt(IntPoly())
+
+
+@pytest.mark.parametrize("x, other", [
+    (IntPoly(1, 2), 3), (IntPoly(1, 2), Fraction(1, 2)),
+    (IntPoly(1, 2), LaurentInt(IntPoly(1), 1)),
+    (LaurentInt(IntPoly(1), 1), 3), (LaurentInt(IntPoly(1), 1), Fraction(1, 2)),
+    (LaurentInt(IntPoly(1), 1), IntPoly(1, 2)),
+], ids=["IntPoly-int", "IntPoly-Fraction", "IntPoly-LaurentInt",
+        "LaurentInt-int", "LaurentInt-Fraction", "LaurentInt-IntPoly"])
+def test_product_with_another_class_is_a_type_error(x, other):
+    """Each class multiplies only by itself; any other operand, on either
+    side, is a TypeError rather than an AttributeError from inside."""
+    with pytest.raises(TypeError):
+        x * other
+    with pytest.raises(TypeError):
+        other * x
 
 
 @st.composite

@@ -1,10 +1,10 @@
 """The q = 1 shadow's integer arithmetic against Fraction-per-step oracles.
 
-verifier._binomial_sum, constructs.n_alpha, FactoredQ.value_at_one and
-verifier._central_bridge keep integer numerators and denominators and
-normalise once. The functions below are the Fraction-per-step loops they
-replaced, kept only as test oracles: every step builds and reduces a
-Fraction, so they share no arithmetic with the code they check.
+constructs.rising, verifier._binomial_sum, constructs.n_alpha,
+FactoredQ.value_at_one and verifier._central_bridge keep integer
+numerators and denominators and normalise once. The functions below are
+Fraction-per-step loops, kept only as test oracles: every step builds and
+reduces a Fraction, so they share no arithmetic with the code they check.
 """
 
 import math
@@ -14,10 +14,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcongruence import verifier
-from qcongruence.constructs import n_alpha
+from qcongruence.constructs import n_alpha, rising
 from qcongruence.cyclotomic import phi_at_one
 from qcongruence.exceptions import DomainError
 from qcongruence.qseries import FactoredQ
+
+
+def oracle_rising(r, m, k):
+    """Test oracle: prod_{j<k} (r + jm) / (m (j + 1)), one Fraction per
+    factor."""
+    out = Fraction(1)
+    for j in range(k):
+        out *= Fraction(r + j * m, m * (j + 1))
+    return out
 
 
 def oracle_binomial_sum(r, m, rho, n):
@@ -71,13 +80,26 @@ def oracle_central_bridge(n):
     return True
 
 
+def test_rising_matches_fraction_oracle():
+    """Every pair is unreduced, den_k = m^k k!, and num_k / den_k is the
+    oracle's product, for any r (coprime to m or not) and k <= 30."""
+    for r in range(-6, 7):
+        for m in range(2, 7):
+            out = list(rising(r, m, 30))
+            assert len(out) == 31
+            for k, (num, den) in enumerate(out):
+                assert den == m ** k * math.factorial(k)
+                assert Fraction(num, den) == oracle_rising(r, m, k)
+
+
 pairs = st.tuples(st.integers(-12, 12), st.integers(2, 8)).filter(
     lambda p: math.gcd(*p) == 1)
 
 
 @given(pairs, st.integers(1, 6), st.integers(1, 40))
 @example((-1, 2), 1, 1)
-@example((1, 2), 3, 0)
+@example((1, 2), 3, 0)                   # no summand: both sums are 0
+@example((-7, 3), 1, 0)
 @example((49, 10), 6, 100)
 @settings(max_examples=150, deadline=None)
 def test_binomial_sum_matches_fraction_oracle(pair, rho, n):
