@@ -37,7 +37,7 @@ def main():
     print()
 
     A = a_poly(r, m, n)
-    B = b_poly(r, m, n)
+    B = b_poly(m, n)
     C = c_poly(m, n)
     print("The package names three products built from this data:")
     print(f"  A = {A!r}  (numerator survivors)")

@@ -13,7 +13,7 @@ def main():
     print()
     print("The q-analog of the binomial sum is a Laurent polynomial once")
     print(f"multiplied by B^rho and cleared of denominators. B here is")
-    B = b_poly(r, m, n)
+    B = b_poly(m, n)
     print(f"  B = {B!r} = {expand_product(B)!r}")
     print()
 

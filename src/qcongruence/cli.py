@@ -15,14 +15,16 @@ Grid flags --r --m --rho --n take a single integer or an inclusive range
 `a..b`; a range with a negative start is attached with `=`, as in
 `--r=-6..6`. A claim needs the flags its verifier.DOMAINS entry names, in
 argument order; `lemmas` and `all`, which have no entry, list theirs in
-_NEEDS. `show` reads _SHOW: each object's construct and that construct's
-flags in argument order. Each flag, --d-max and `show --d` have ceilings
-(GRID_LIMITS, D_MAX_LIMIT, SHOW_D_LIMIT); a value above one, or a --d-max
-below 2, exits with code 2 before any work starts. Instances outside a
-claim's domain (verifier.DOMAINS; for `lemmas`, a pair outside
+_NEEDS; a `lemmas` task names its check's keyword arguments where
+_tasks_for builds it. `show` reads _SHOW: each object's construct and that
+construct's flags in argument order. Each flag, --d-max and `show --d` have
+ceilings (GRID_LIMITS, D_MAX_LIMIT, SHOW_D_LIMIT); a value above one, or a
+--d-max below 2, exits with code 2 before any work starts. Instances
+outside a claim's domain (verifier.DOMAINS; for `lemmas`, a pair outside
 constructs.pair_ok) are skipped and counted, never errored; `show` refuses
-a pair outside pair_ok as a usage error. Exit codes: 0 all pass, 1 a proven
-claim failed, 2 usage error, 3 conjecture counterexample.
+an (r, m) pair outside pair_ok as a usage error, and B and C, which take
+no r, exit 2 on their constructs' DomainError. Exit codes: 0 all pass,
+1 a proven claim failed, 2 usage error, 3 conjecture counterexample.
 
 Reports are deterministic for a fixed spec: iteration is in sorted
 parameter order, results are emitted in task order regardless of worker
@@ -108,26 +110,20 @@ _VERIFIERS = {
     "sun": (("verify_sun_conjecture", 1),),
 }
 
-# any other task kind runs cycmodfield.check_<kind>, with these parameters
-_CHECK_PARAMS = {
-    "block_constant": ("r", "m", "d"), "block_sum": ("r", "m", "rho", "d"),
-    "block_decomposition": ("r", "m", "d", "s", "t"),
-    "mu_consistency": ("r", "m", "rho", "d", "s", "t"),
-    "sign_reduction": ("m", "d", "s", "h")}
 
-
-def _tasks_for(claim, grid, d_max, full_polys=False):
+def _tasks_for(claim, grid, d_max, full_polys):
     """Expand one claim over the grid into (kind, args) tasks plus a skip
     count: one per instance outside the claim's domain, or for `lemmas`
-    one per (r, m) pair outside pair_ok. Deterministic: sorted parameter
-    order, no sets."""
+    one per (r, m) pair outside pair_ok. A lemma task's args are a dict,
+    the keyword arguments of cycmodfield.check_<kind> and its verdict's
+    params. Deterministic: sorted parameter order, no sets."""
     tasks = []
     skipped = 0
     if claim != "lemmas":
         extra = (full_polys,) if claim == "qcong" else ()
-        names = verifier.DOMAINS[claim][0]
+        names, in_domain, _ = verifier.DOMAINS[claim]
         for params in itertools.product(*(grid[f] for f in names)):
-            if verifier.in_domain(claim, *params):
+            if in_domain(*params):
                 tasks += [(kind, params + extra)
                           for kind in _KINDS.get(claim, (claim,))]
             else:
@@ -140,13 +136,16 @@ def _tasks_for(claim, grid, d_max, full_polys=False):
             continue
         for d in range(2, d_max + 1):
             if math.gcd(d, m) == 1:
-                tasks.append(("block_constant", (r, m, d)))
-                tasks += [("block_sum", (r, m, rho, d)) for rho in rhos]
-                tasks += [("block_decomposition", (r, m, d, s, t))
-                          for s in (1, 2) for t in range(min(3, d))]
-                tasks += [("mu_consistency", (r, m, rho, d, 1, 0))
+                tasks.append(("block_constant", dict(r=r, m=m, d=d)))
+                tasks += [("block_sum", dict(r=r, m=m, rho=rho, d=d))
                           for rho in rhos]
-    tasks += [("sign_reduction", (m, d, s, 1))
+                tasks += [("block_decomposition",
+                           dict(r=r, m=m, d=d, s=s, t=t))
+                          for s in (1, 2) for t in range(min(3, d))]
+                tasks += [("mu_consistency",
+                           dict(r=r, m=m, rho=rho, d=d, s=1, t=0))
+                          for rho in rhos]
+    tasks += [("sign_reduction", dict(m=m, d=d, s=s, h=1))
               for m in grid["m"] if m >= 2
               for d in range(2, d_max + 1) if math.gcd(d, m) == 1
               for s in (1, 2)]
@@ -160,9 +159,8 @@ def _run_task(task):
     if kind in _VERIFIERS:
         return [getattr(verifier, name)(*args[:count])
                 for name, count in _VERIFIERS[kind]]
-    outcome = getattr(cycmodfield, f"check_{kind}")(*args)
-    return [Verdict(kind, dict(zip(_CHECK_PARAMS[kind], args)),
-                    outcome.ok, outcome.lhs, outcome.rhs,
+    outcome = getattr(cycmodfield, f"check_{kind}")(**args)
+    return [Verdict(kind, args, outcome.ok, outcome.lhs, outcome.rhs,
                     None if outcome.ok else {"detail": outcome.detail})]
 
 
@@ -248,10 +246,11 @@ def _render_csv(spec, verdicts, counts, stopped, timestamp):
         row += [str(v.passed).lower(), v.lhs, v.rhs,
                 json.dumps(v.witness, default=str) if v.witness else ""]
         w.writerow(row)
-    # as wide as the header: pass, fail and skip under r, m and rho, and
-    # "stopped" under pass
+    # as wide as the header: pass, fail and skip under the first three
+    # parameters, blanks under the rest, and "stopped" under pass
     w.writerow(["counts", counts["pass"], counts["fail"], counts["skip"],
-                "", "", "", "", "", "stopped" if stopped else "", "", "", ""])
+                *[""] * (len(_PARAM_ORDER) - 3),
+                "stopped" if stopped else "", "", "", ""])
     return buf.getvalue()
 
 
@@ -261,7 +260,7 @@ def _render_csv(spec, verdicts, counts, stopped, timestamp):
 # show object -> (its construct, the construct's flags in argument order)
 _SHOW = {"phi": (phi, ("d",)), "lambda": (lambda_residue, ("r", "m", "d")),
          "sset": (s_set, ("r", "m", "n")), "A": (a_poly, ("r", "m", "n")),
-         "B": (b_poly, ("r", "m", "n")), "C": (c_poly, ("m", "n")),
+         "B": (b_poly, ("m", "n")), "C": (c_poly, ("m", "n")),
          "N": (n_alpha, ("r", "m", "n"))}
 
 

@@ -13,7 +13,7 @@ rational number, and n >= 1 is a length. The objects built here:
                             numerator exponents r, r+m, ..., r+(n-1)m but
                             not resolved by the denominator; finite
   a_poly(r, m, n)           product of Phi_d over the s_set
-  b_poly(r, m, n)           product of Phi_d^floor(n*gcd(d,m)/d) over d
+  b_poly(m, n)              product of Phi_d^floor(n*gcd(d,m)/d) over d
                             sharing a factor with m, d <= n*m
   c_poly(m, n)              product of Phi_d over divisors d >= 2 of n
                             coprime to m
@@ -110,18 +110,17 @@ def a_poly(r, m, n):
     return FactoredQ(1, 0, {d: 1 for d in s_set(r, m, n)})
 
 
-def b_poly(r, m, n):
+def b_poly(m, n):
     """Product of Phi_d^floor(n*gcd(d,m)/d) over 2 <= d <= n*m with
-    gcd(d, m) > 1. Depends only on (m, n); r rides along so the three
-    polynomial constructors share a calling convention.
+    gcd(d, m) > 1.
 
-    >>> b_poly(1, 2, 3)
+    >>> b_poly(2, 3)
     Phi_2^3 * Phi_4 * Phi_6
-    >>> b_poly(1, 1, 5)
+    >>> b_poly(1, 5)
     1
     """
     if m < 1 or n < 1:
-        raise DomainError(f"b_poly({r}, {m}, {n})")
+        raise DomainError(f"b_poly({m}, {n})")
     tally = {}
     for d in range(2, n * m + 1):
         g = math.gcd(d, m)

@@ -283,7 +283,7 @@ def check_block_sum(r, m, rho, d):
                         "" if rem.is_zero else f"remainder {rem!r}")
 
 
-def check_sign_reduction(m, d, s, h=0):
+def check_sign_reduction(m, d, s, h):
     """(-1)^{sd} q^{m*h*s*d - m*binom(sd,2)} is congruent to (-1)^s mod
     Phi_d when gcd(m, d) = 1. For even d this leans on q^{d/2} being -1."""
     if d < 2 or math.gcd(m, d) != 1 or s < 0:

@@ -80,16 +80,11 @@ DOMAINS = {
 DOMAINS["qcong"] = DOMAINS["binomsum"]
 
 
-def in_domain(claim, *params):
-    """Whether params, in the claim's argument order, lie in its domain."""
-    return DOMAINS[claim][1](*params)
-
-
 def _require(claim, *params):
     """The params keyed by the claim's names, for its Verdict; DomainError
     outside its domain."""
-    names, _, rule = DOMAINS[claim]
-    if not in_domain(claim, *params):
+    names, in_domain, rule = DOMAINS[claim]
+    if not in_domain(*params):
         raise DomainError(f"{claim} needs {rule}; got {params}")
     return dict(zip(names, params))
 
@@ -340,11 +335,11 @@ def _qcong_data(r, m, rho, n):
 
     The cleared sum is sum_{k<n} (-1)^{rho k} q^{e_k} [2mk+r]_q R_k, with
     e_k from summand_twist and R_k = B^rho ((q^r;q^m)_k / (q^m;q^m)_k)^rho
-    for B = b_poly(r, m, n). Both are built from exact 1 - q^h passes:
+    for B = b_poly(m, n). Both are built from exact 1 - q^h passes:
 
       B = prod_{j<=n} F_j, F_j = (1 - q^{mj}) / (1 - q^{j'}), where j' is j
           with every prime it shares with m divided out; the product up to
-          each j is b_poly(r, m, j), so every division is exact
+          each j is b_poly(m, j), so every division is exact
       R_0 = B^rho, R_k = R_{k-1} (1 - q^{r+(k-1)m})^rho / (1 - q^{mk})^rho
 
     with 1 - q^x = -q^x (1 - q^-x) for x < 0, and [x]_q R_k formed as
@@ -413,7 +408,7 @@ def verify_specialization_at_one(r, m, rho, n):
     modulus = n_alpha(r, m, n)
 
     cleared1 = sum(data["cleared"].base.coeffs)
-    b1 = b_poly(r, m, n).value_at_one().numerator  # B has no denominator
+    b1 = b_poly(m, n).value_at_one().numerator  # B has no denominator
     value_match = b1 ** rho * scaled == cleared1
     ac1 = data["ac_factored"].value_at_one()
     value_id = ac1 == modulus
@@ -446,10 +441,10 @@ def verify_specialization_at_one(r, m, rho, n):
 
 
 def verify_structure_identity(r, m, n):
-    """poch_ratio(r,m,n) * b_poly(r,m,n) equals the signed q-power times
+    """poch_ratio(r,m,n) * b_poly(m,n) equals the signed q-power times
     the squarefree product over s_set, as exact factored objects."""
     params = _require("identities", r, m, n)
-    lhs = poch_ratio(r, m, n) * b_poly(r, m, n)
+    lhs = poch_ratio(r, m, n) * b_poly(m, n)
     delta, big_delta = negative_tail(r, m, n)
     rhs = FactoredQ(-1 if delta % 2 else 1, big_delta,
                     {d: 1 for d in s_set(r, m, n)})

@@ -80,7 +80,7 @@ def test_criterion_03_structural_identity():
     for r, m in theorem_grid():
         for n in range(1, 26):
             # recompute the expected shape from the definitions
-            lhs = poch_ratio(r, m, n) * b_poly(r, m, n)
+            lhs = poch_ratio(r, m, n) * b_poly(m, n)
             cnt, tot = negative_tail(r, m, n)
             shape_ok = (lhs.sign == (-1 if cnt % 2 else 1)
                         and lhs.qexp == tot

@@ -7,7 +7,7 @@ constant term 1 and
 
     shift_k   = rho * sum_{j<k} min(r + jm, 0)
     deg R~_k  = rho * (deg B + sum_{j<k} |r + jm| - m k(k+1)/2)
-    deg B     = sum e * phi(d) over the factors Phi_d^e of b_poly(r, m, n)
+    deg B     = sum e * phi(d) over the factors Phi_d^e of b_poly(m, n)
 
 since 1 - q^y = -q^y (1 - q^-y) for y < 0. [x]_q is (1 - q^|x|)/(1 - q),
 times -q^x when x < 0, so summand k spans the exponents
@@ -37,7 +37,7 @@ INSTANCES = ([(r, m, rho, n) for r, m in QCONG_PAIRS for rho in (1, 2)
 
 def closed_form_span(r, m, rho, n):
     """(low, top): the least and greatest exponent any summand spans."""
-    deg_b = sum(e * euler_phi(d) for d, e in b_poly(r, m, n).factors)
+    deg_b = sum(e * euler_phi(d) for d, e in b_poly(m, n).factors)
     lows, tops = [], []
     for k in range(n):
         ys = [r + j * m for j in range(k)]

@@ -59,9 +59,11 @@ SHOW_STDOUT = {
     "N --r 2 --m 3 --n 4": "440\n",
     "A --r 1 --m 2 --n 3":
         "A = Phi_5\nA = q^4 + q^3 + q^2 + q + 1\nA(1) = 5\n",
-    "B --r 1 --m 3 --n 2":
+    "B --m 3 --n 2":
         "B = Phi_3^2 * Phi_6\n"
         "B = q^6 + q^5 + 2*q^4 + q^3 + 2*q^2 + q + 1\nB(1) = 9\n",
+    # no d shares a factor with m = 1: the empty product
+    "B --m 1 --n 4": "B = 1\nB = 1\nB(1) = 1\n",
     "C --m 3 --n 4":
         "C = Phi_2 * Phi_4\nC = q^3 + q^2 + q + 1\nC(1) = 4\n",
 }
@@ -79,14 +81,25 @@ def test_show_missing_flag_exits_nonzero():
     assert err.value.code == 2
 
 
+# explicit ids keep each row's name when a row is added or removed
 @pytest.mark.parametrize("obj,flags", [
     ("lambda", ["--d", "3"]), ("sset", ["--n", "3"]), ("A", ["--n", "3"]),
-    ("B", ["--n", "3"]), ("N", ["--n", "3"])])
+    ("N", ["--n", "3"])],
+    ids=["lambda-flags0", "sset-flags1", "A-flags2", "N-flags4"])
 @pytest.mark.parametrize("r,m", [(2, 4), (0, 1), (3, 1), (1, 0)])
 def test_show_refuses_pair_outside_pair_ok(obj, flags, r, m, capsys):
     # (2, 4) used to print the constructs of 1/2 with exit code 0
     with pytest.raises(SystemExit) as err:
         run_main(["show", obj, f"--r={r}", f"--m={m}", *flags])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("obj", ["B", "C"])
+def test_show_b_and_c_refuse_m_0(obj, capsys):
+    # B and C take (m, n) and no pair; their constructs' DomainError exits 2
+    with pytest.raises(SystemExit) as err:
+        run_main(["show", obj, "--m", "0", "--n", "3"])
     assert err.value.code == 2
     assert capsys.readouterr().out == ""
 

@@ -68,7 +68,7 @@ def test_a_poly_counts_surviving_numerator_factors():
 
 
 def test_b_poly_frozen():
-    f = b_poly(1, 2, 3)
+    f = b_poly(2, 3)
     assert dict(f.factors) == {2: 3, 4: 1, 6: 1}
     assert f.sign == 1 and f.qexp == 0
     assert expand_product(f).evaluate(1) == 16
@@ -76,9 +76,9 @@ def test_b_poly_frozen():
 
 def test_b_poly_exponent_formula():
     # exponent of Phi_d is floor(n * gcd(d, m) / d), over gcd(d, m) > 1
-    for r, m in [(1, 2), (2, 3), (3, 4)]:
+    for m in (2, 3, 4):
         for n in range(1, 8):
-            f = b_poly(r, m, n)
+            f = b_poly(m, n)
             for d, e in f.factors:
                 g = math.gcd(d, m)
                 assert g > 1
@@ -139,7 +139,7 @@ def test_structure_of_ratio_times_b():
     # ratio * B = (-1)^cnt q^tot * prod_{d in S} Phi_d, exactly
     for r, m in coprime_pairs:
         for n in range(1, 10):
-            lhs = poch_ratio(r, m, n) * b_poly(r, m, n)
+            lhs = poch_ratio(r, m, n) * b_poly(m, n)
             cnt, tot = negative_tail(r, m, n)
             want_sign = -1 if cnt % 2 else 1
             assert lhs.sign == want_sign

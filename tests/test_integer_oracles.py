@@ -73,12 +73,12 @@ def test_term_order_matches_big_power_oracle():
 
 
 def test_prime_support_matches_per_factor_oracle():
-    for r, m in QCONG_PAIRS:
+    for m in sorted({m for _, m in QCONG_PAIRS}):
         for n in range(1, 31):
-            b = b_poly(r, m, n)
+            b = b_poly(m, n)
             b1 = b.value_at_one().numerator
             assert verifier._prime_support_divides(b1, m)
-            assert oracle_prime_support(b, m), (r, m, n)
+            assert oracle_prime_support(b, m), (m, n)
             # negative control: a factor Phi_{p^k} with p not dividing m
             for p in (3, 5, 7):
                 if m % p:
@@ -86,4 +86,4 @@ def test_prime_support_matches_per_factor_oracle():
                         bad = b * FactoredQ(1, 0, {pk: 1})
                         assert not verifier._prime_support_divides(
                             bad.value_at_one().numerator, m)
-                        assert not oracle_prime_support(bad, m), (r, m, n, pk)
+                        assert not oracle_prime_support(bad, m), (m, n, pk)

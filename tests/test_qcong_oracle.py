@@ -58,7 +58,7 @@ def _times_binom(p, x):
 def oracle_terms(r, m, rho, n):
     """(W, denom, bf_rho, nonintegral_k): the cleared sum is
     W * bf_rho / denom, with W accumulated over the common denominator."""
-    bf_rho = b_poly(r, m, n) ** rho
+    bf_rho = b_poly(m, n) ** rho
     nonintegral_k = None
     for k in range(n):
         x = 2 * m * k + r

@@ -165,17 +165,16 @@ def test_expand_refuses_negative_exponents(tally, d):
 # multiplied out one Phi_d at a time (about 90 s and 150 s each on a
 # 2-core host)
 SHOW_SHA256 = {
-    ("A", "49", "10", "100"):
+    ("A", "--r", "49", "--m", "10", "--n", "100"):
         "f02909e58b76994ac0db3e86b86c8f70cea9b1b9d60390c8df20c4cf7002949e",
-    ("B", "1", "10", "100"):
+    ("B", "--m", "10", "--n", "100"):
         "4861f66997f85d708668bbba56d57cf6d787771b81b3d49fe6b53a059c69e2c4",
 }
 
 
 @pytest.mark.parametrize("key", sorted(SHOW_SHA256))
 def test_show_large_products_pinned(key, capsys):
-    obj, r, m, n = key
-    assert cli.main(["show", obj, "--r", r, "--m", m, "--n", n]) == 0
+    assert cli.main(["show", *key]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == SHOW_SHA256[key]
 

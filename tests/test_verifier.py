@@ -285,7 +285,7 @@ def test_one_b_poly_per_q_congruence_instance(monkeypatch,
     monkeypatch.setattr(verifier, "b_poly", counting)
     assert verify_q_congruence(1, 2, 2, 4).passed
     assert verify_specialization_at_one(1, 2, 2, 4).passed
-    assert calls == [(1, 2, 4)]
+    assert calls == [(2, 4)]
     assert "b_at_one" not in verifier._qcong_data(1, 2, 2, 4)
 
 
