@@ -121,9 +121,9 @@ def _tasks_for(claim, grid, d_max, full_polys):
     skipped = 0
     if claim != "lemmas":
         extra = (full_polys,) if claim == "qcong" else ()
-        names, in_domain, _ = verifier.DOMAINS[claim]
+        names, admits, _ = verifier.DOMAINS[claim]
         for params in itertools.product(*(grid[f] for f in names)):
-            if in_domain(*params):
+            if admits(*params):
                 tasks += [(kind, params + extra)
                           for kind in _KINDS.get(claim, (claim,))]
             else:

@@ -83,8 +83,8 @@ DOMAINS["qcong"] = DOMAINS["binomsum"]
 def _require(claim, *params):
     """The params keyed by the claim's names, for its Verdict; DomainError
     outside its domain."""
-    names, in_domain, rule = DOMAINS[claim]
-    if not in_domain(*params):
+    names, admits, rule = DOMAINS[claim]
+    if not admits(*params):
         raise DomainError(f"{claim} needs {rule}; got {params}")
     return dict(zip(names, params))
 

@@ -15,7 +15,7 @@ script before anything runs, so a refactor that moves the code has to
 update this table. Hypothesis runs with a fixed seed, so a result repeats
 from run to run.
 
-The whole table (66 mutants) took 63-65 s on a 2-core host with
+The whole table (66 mutants) took 56-65 s on a 2-core host with
 Python 3.11, and up to 81 s for 63 in a slow spell of that host (most
 of the time is interpreter start-up and test collection); keep it under
 90 s, inside CI's two-minute step.
