@@ -13,14 +13,17 @@ code 3 as data, not as a suite failure.
 
 Grid flags --r --m --rho --n take a single integer or an inclusive range
 `a..b`; a range with a negative start is attached with `=`, as in
-`--r=-6..6`. A claim needs the flags its verifier.DOMAINS entry names, in
-argument order; `lemmas` and `all`, which have no entry, list theirs in
-_NEEDS; a `lemmas` task names its check's keyword arguments where
-_tasks_for builds it. `show` reads _SHOW: each object's construct and that
-construct's flags in argument order. Each flag, --d-max and `show --d` have
-ceilings (GRID_LIMITS, D_MAX_LIMIT, SHOW_D_LIMIT); a value above one, or a
---d-max below 2, exits with code 2 before any work starts. Instances
-outside a claim's domain (verifier.DOMAINS; for `lemmas`, a pair outside
+`--r=-6..6`. Each subcommand reads exactly the grid flags its table names:
+`verify` a claim's verifier.DOMAINS entry, in argument order (`lemmas` and
+`all`, which have no entry, list theirs in _NEEDS), and `show` an object's
+_SHOW entry, its construct and that construct's flags in argument order.
+A missing or foreign grid flag exits with code 2 before any work starts,
+naming the flags the subcommand takes. Each flag read, --d-max and
+`show --d` have ceilings (GRID_LIMITS, D_MAX_LIMIT, SHOW_LIMITS); a value
+above one, or a --d-max below 2, exits 2 as well. Every task is (kind,
+params): a verifier kind's functions (_VERIFIERS), or a lemma kind's
+cycmodfield.check_<kind>, take the params by name. Instances outside a
+claim's domain (verifier.DOMAINS; for `lemmas`, a pair outside
 constructs.pair_ok) are skipped and counted, never errored; `show` refuses
 an (r, m) pair outside pair_ok as a usage error, and B and C, which take
 no r, exit 2 on their constructs' DomainError. Exit codes: 0 all pass,
@@ -67,7 +70,8 @@ _PARAM_ORDER = ("r", "m", "rho", "n", "d", "s", "t", "h")
 # to build on a 2-core host. Its worst case at these ceilings is unmeasured.
 GRID_LIMITS = {"r": (50, 32), "m": (10, 10), "rho": (6, 6), "n": (100, 100)}
 D_MAX_LIMIT = 100
-SHOW_D_LIMIT = 10000
+# `show` flag -> largest |value|: the grid ceilings, and its own for --d
+SHOW_LIMITS = {**{f: GRID_LIMITS[f][0] for f in ("r", "m", "n")}, "d": 10000}
 
 
 def _parse_range(text, limit, most):
@@ -96,35 +100,36 @@ def _parse_range(text, limit, most):
 # 0.114 ms and its 95th percentile from 2.39 to 2.67 ms.
 _KINDS = {"identities": ("structure", "value_at_one")}
 
-# task kind -> the verifier functions it runs, in report order, each with
-# how many of the task's arguments it takes (a qcong task ends in
-# full_polys, which only verify_q_congruence reads)
+# task kind -> the verifier functions it runs, in report order; each takes
+# the task's params by name, and a qcong task's full_polys goes to
+# verify_q_congruence alone
 _VERIFIERS = {
-    "binomsum": (("verify_binomial_sum", 4),),
-    "central": (("verify_central_binomial", 2),),
-    "qcong": (("verify_q_congruence", 5),
-              ("verify_specialization_at_one", 4)),
-    "structure": (("verify_structure_identity", 3),),
-    "value_at_one": (("verify_value_identity", 3),),
-    "2adic": (("verify_two_adic_bounds", 2),),
-    "sun": (("verify_sun_conjecture", 1),),
+    "binomsum": ("verify_binomial_sum",),
+    "central": ("verify_central_binomial",),
+    "qcong": ("verify_q_congruence", "verify_specialization_at_one"),
+    "structure": ("verify_structure_identity",),
+    "value_at_one": ("verify_value_identity",),
+    "2adic": ("verify_two_adic_bounds",),
+    "sun": ("verify_sun_conjecture",),
 }
 
 
 def _tasks_for(claim, grid, d_max, full_polys):
-    """Expand one claim over the grid into (kind, args) tasks plus a skip
+    """Expand one claim over the grid into (kind, params) tasks plus a skip
     count: one per instance outside the claim's domain, or for `lemmas`
-    one per (r, m) pair outside pair_ok. A lemma task's args are a dict,
-    the keyword arguments of cycmodfield.check_<kind> and its verdict's
-    params. Deterministic: sorted parameter order, no sets."""
+    one per (r, m) pair outside pair_ok. A lemma task's params are the
+    keyword arguments of cycmodfield.check_<kind> and its verdict's params.
+    Deterministic: sorted parameter order, no sets."""
     tasks = []
     skipped = 0
     if claim != "lemmas":
-        extra = (full_polys,) if claim == "qcong" else ()
         names, admits, _ = verifier.DOMAINS[claim]
-        for params in itertools.product(*(grid[f] for f in names)):
-            if admits(*params):
-                tasks += [(kind, params + extra)
+        for values in itertools.product(*(grid[f] for f in names)):
+            if admits(*values):
+                params = dict(zip(names, values))
+                if claim == "qcong":
+                    params["full_polys"] = full_polys
+                tasks += [(kind, params)
                           for kind in _KINDS.get(claim, (claim,))]
             else:
                 skipped += 1
@@ -153,14 +158,17 @@ def _tasks_for(claim, grid, d_max, full_polys):
 
 
 def _run_task(task):
-    """One task to a list of Verdicts. Top level so process pools can
-    pickle it; functions are looked up per call, so patched ones run."""
-    kind, args = task
+    """One (kind, params) task to a list of Verdicts. Top level so process
+    pools can pickle it; functions are looked up per call, so patched ones
+    run."""
+    kind, params = task
     if kind in _VERIFIERS:
-        return [getattr(verifier, name)(*args[:count])
-                for name, count in _VERIFIERS[kind]]
-    outcome = getattr(cycmodfield, f"check_{kind}")(**args)
-    return [Verdict(kind, args, outcome.ok, outcome.lhs, outcome.rhs,
+        instance = {k: v for k, v in params.items() if k != "full_polys"}
+        return [getattr(verifier, name)(
+                    **(params if name == "verify_q_congruence" else instance))
+                for name in _VERIFIERS[kind]]
+    outcome = getattr(cycmodfield, f"check_{kind}")(**params)
+    return [Verdict(kind, params, outcome.ok, outcome.lhs, outcome.rhs,
                     None if outcome.ok else {"detail": outcome.detail})]
 
 
@@ -264,21 +272,27 @@ _SHOW = {"phi": (phi, ("d",)), "lambda": (lambda_residue, ("r", "m", "d")),
          "N": (n_alpha, ("r", "m", "n"))}
 
 
+def _read_flags(parser, what, takes, args, flags):
+    """The values of the flags `takes`, in its order; exit 2 unless exactly
+    those of `flags` are given."""
+    given = [f for f in flags if getattr(args, f) is not None]
+    if set(given) != set(takes):
+        parser.error(f"{what} takes --{' --'.join(takes)}; got "
+                     + (" ".join(f"--{f}" for f in given) or "none"))
+    return [getattr(args, f) for f in takes]
+
+
 def cmd_show(args, parser):
     obj = args.object
     construct, flags = _SHOW[obj]
-    for flag in flags:
-        if getattr(args, flag) is None:
-            parser.error(f"show {obj} needs --{flag}")
-    limits = {f: GRID_LIMITS[f][0] for f in ("r", "m", "n")}
-    limits["d"] = SHOW_D_LIMIT
-    for flag, limit in limits.items():
-        value = getattr(args, flag)
-        if value is not None and abs(value) > limit:
-            parser.error(f"--{flag} {value} exceeds |value| <= {limit}")
+    values = _read_flags(parser, f"show {obj}", flags, args, SHOW_LIMITS)
+    for flag, value in zip(flags, values):
+        if abs(value) > SHOW_LIMITS[flag]:
+            parser.error(f"--{flag} {value} exceeds |value| <= "
+                         f"{SHOW_LIMITS[flag]}")
     if "r" in flags and "m" in flags and not pair_ok(args.r, args.m):
         parser.error(f"show {obj} needs m >= 2 and gcd(r, m) = 1")
-    value = construct(*(getattr(args, flag) for flag in flags))
+    value = construct(*values)
     if obj == "phi":
         out = [f"Phi_{args.d} = {value!r}"]
         if args.d >= 2:
@@ -297,13 +311,10 @@ def cmd_show(args, parser):
 def cmd_verify(args, parser):
     claims = list(PROVEN) if args.claim == "all" else [args.claim]
     needed = _NEEDS.get(args.claim) or verifier.DOMAINS[args.claim][0]
+    values = _read_flags(parser, f"verify {args.claim}", needed, args,
+                         GRID_LIMITS)
     grid = {}
-    for flag in ("r", "m", "rho", "n"):
-        raw = getattr(args, flag)
-        if raw is None:
-            if flag in needed:
-                parser.error(f"claim {args.claim} needs --{flag}")
-            continue
+    for flag, raw in zip(needed, values):
         try:
             grid[flag] = _parse_range(raw, *GRID_LIMITS[flag])
         except ValueError as exc:
@@ -377,10 +388,8 @@ def build_parser():
 
     p_show = sub.add_parser("show", help="print one construct")
     p_show.add_argument("object", choices=list(_SHOW))
-    for flag in ("r", "m", "n"):
-        p_show.add_argument(f"--{flag}", type=int,
-                            help=f"|value| <= {GRID_LIMITS[flag][0]}")
-    p_show.add_argument("--d", type=int, help=f"|value| <= {SHOW_D_LIMIT}")
+    for flag, limit in SHOW_LIMITS.items():
+        p_show.add_argument(f"--{flag}", type=int, help=f"|value| <= {limit}")
 
     p_ver = sub.add_parser(
         "verify", help="run claim sweeps",

@@ -15,25 +15,31 @@ script before anything runs, so a refactor that moves the code has to
 update this table. Hypothesis runs with a fixed seed, so a result repeats
 from run to run.
 
-The whole table (66 mutants) took 56-65 s on a 2-core host with
-Python 3.11, and up to 81 s for 63 in a slow spell of that host (most
-of the time is interpreter start-up and test collection); keep it under
-90 s, inside CI's two-minute step.
+Each pytest run is a child forked from this process, which has imported
+pytest, hypothesis and sympy but never qcongruence: the child changes to
+its copy, puts the copy's src/ first on sys.path, imports the mutated
+package fresh and writes its output to a file. No test stubs or reloads
+sympy or hypothesis, so sharing the parent's copies of them is safe.
+Forking saves each row the interpreter start and those imports, which
+were most of its time: the 66-row table of the previous runner took 71
+and 73 s with it, and 34 and 34 s forked, alternately on a 2-core host
+with Python 3.11. The whole table (71 mutants) took 36 s there; keep it
+under 90 s, inside CI's two-minute step. Rows are forked from the main
+thread only, never from a thread pool.
 pytest does not collect this file (its testpaths pick up test_*.py only).
 A new oracle adds its mutants here.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import pathlib
-import queue
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # Copies of the tree, and rows run at once: one per core of a 2-core host.
@@ -58,6 +64,9 @@ AC_WITNESS = ("tests/test_verifier.py::"
               "test_q_congruence_witness_when_ac_does_not_divide")
 INTEGER_ORACLE = "tests/test_integer_oracles.py::"
 PINNED_REPORT = "tests/test_cli.py::test_report_bytes_pinned[text-1]"
+IGNORED_FLAG = "tests/test_cli.py::test_a_flag_no_longer_ignored_exits_2"
+MISSING_FLAG = "tests/test_cli.py::test_missing_flag_exits_2_before_work"
+FULL_POLYS = "tests/test_cli.py::test_full_polys_report_bytes_pinned[1]"
 EXACT_RULES = "tests/test_exact_rules.py::test_module_keeps_the_exact_rules"
 SUMMAND_ORACLE = "tests/test_summand_oracle.py"
 AC_FACTORS = SUMMAND_ORACLE + "::test_every_ac_factor_divides"
@@ -226,6 +235,27 @@ MUTANTS = [
     ("a sign_reduction task passes h = 0", CLI,
      "dict(m=m, d=d, s=s, h=1)", "dict(m=m, d=d, s=s, h=0)",
      [PINNED_REPORT]),
+    ("show range-checks every flag again, so a foreign one in range is "
+     "ignored", CLI,
+     "    values = _read_flags(parser, f\"show {obj}\", flags, args, "
+     "SHOW_LIMITS)\n    for flag, value in zip(flags, values):\n",
+     "    values = _read_flags(parser, f\"show {obj}\", flags, args, flags)\n"
+     "    for flag, value in ((f, getattr(args, f)) for f in SHOW_LIMITS\n"
+     "                        if getattr(args, f) is not None):\n",
+     [IGNORED_FLAG + "[show-B]"]),
+    ("verify accepts a grid flag no requested claim names", CLI,
+     "needed, args,\n                         GRID_LIMITS)",
+     "needed, args,\n                         needed)",
+     [IGNORED_FLAG + "[verify-central]"]),
+    ("_read_flags lets a missing flag through", CLI,
+     "if set(given) != set(takes):", "if not set(given) <= set(takes):",
+     [MISSING_FLAG + "[show phi]"]),
+    ("a qcong task drops full_polys", CLI,
+     "params[\"full_polys\"] = full_polys",
+     "params[\"full_polys\"] = False", [FULL_POLYS]),
+    ("_run_task hands verify_q_congruence the instance alone", CLI,
+     "**(params if name == \"verify_q_congruence\" else instance)",
+     "**instance", [FULL_POLYS]),
     ("pair_ok admits m = 1", CONSTRUCTS,
      "return m >= 2 and math.gcd(r, m) == 1",
      "return m >= 1 and math.gcd(r, m) == 1",
@@ -295,19 +325,49 @@ MUTANTS = [
 ]
 
 
-def _python(tree, *args):
-    """Run Python in the copy, importing qcongruence from its src/."""
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=str(tree / "src") + (os.pathsep + path if path
-                                               else ""))
-    return subprocess.run([sys.executable, *args], cwd=tree, env=env,
-                          capture_output=True, text=True)
+def _forked(tree, log, work):
+    """Fork a child that runs work() in the copy, with its src/ first on
+    sys.path and on PYTHONPATH, and its stdout and stderr in the log file.
+    Returns the child's pid; its exit code is work()'s return value."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 70
+    try:
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+        os.dup2(fd, 1)
+        os.dup2(fd, 2)
+        os.chdir(tree)
+        src = str(tree / "src")
+        sys.path.insert(0, src)
+        path = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = src + (os.pathsep + path if path else "")
+        code = int(work())
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
 
 
-def _pytest(tree, selectors):
-    return _python(tree, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                   "--hypothesis-seed=0", *selectors)
+def _pytest(selectors):
+    import pytest
+    # hypothesis is imported before pytest starts, on purpose (see main),
+    # so pytest cannot rewrite its asserts and would say so on every row
+    return pytest.main(["-q", "-x", "-p", "no:cacheprovider",
+                        "--hypothesis-seed=0", "-W",
+                        "ignore:Module already imported so cannot be "
+                        "rewritten:pytest.PytestAssertRewriteWarning",
+                        *selectors])
+
+
+def _where():
+    import qcongruence
+    print(qcongruence.__file__)
+    return 0
 
 
 def _copy(tree):
@@ -317,23 +377,34 @@ def _copy(tree):
     shutil.copy(ROOT / "pyproject.toml", tree)
 
 
-def _mutated_run(free, row):
-    """Run one row in a free copy: replace its snippet, run pytest on its
-    selectors, put the file back and return the copy to the pool."""
-    _, path, old, new, selected = row
-    tree = free.get()
-    try:
-        f = tree / path
-        text = f.read_text()
-        f.write_text(text.replace(old, new))
-        t0 = time.monotonic()
-        try:
-            res = _pytest(tree, selected)
-        finally:
-            f.write_text(text)
-        return res, time.monotonic() - t0
-    finally:
-        free.put(tree)
+def _runs(trees, logs, jobs):
+    """Run each (path, old, new, selectors) job as a forked pytest on a free
+    copy, with `old` replaced by `new` in its file for that run only (path
+    None runs the copy as it is); as many jobs at once as there are copies.
+    Yields (exit code, output, seconds) in job order."""
+    free, running, done = list(trees), {}, {}
+    todo = iter(enumerate(jobs))
+    for want in range(len(jobs)):
+        while want not in done:
+            for i, (path, old, new, selected) in itertools.islice(
+                    todo, len(free)):
+                tree = free.pop()
+                f = tree / path if path else None
+                text = f.read_text() if f else None
+                if f:
+                    f.write_text(text.replace(old, new))
+                log = logs / f"{i}.txt"
+                pid = _forked(tree, log, lambda s=selected: _pytest(s))
+                running[pid] = (i, tree, f, text, log, time.monotonic())
+            pid, status = os.wait()
+            i, tree, f, text, log, t0 = running.pop(pid)
+            seconds = time.monotonic() - t0
+            if f:
+                f.write_text(text)
+            free.append(tree)
+            done[i] = (os.waitstatus_to_exitcode(status), log.read_text(),
+                       seconds)
+        yield done.pop(want)
 
 
 def main(argv=None):
@@ -344,11 +415,17 @@ def main(argv=None):
     if not rows:
         parser.error("no mutant matches -k")
     start = time.monotonic()
-    with tempfile.TemporaryDirectory(prefix="qcongruence-mutants-") as tmp, \
-            ThreadPoolExecutor(COPIES) as pool:
+    # every forked row starts from these, but imports qcongruence fresh
+    import hypothesis  # noqa: F401
+    import pytest  # noqa: F401
+    import sympy  # noqa: F401
+    sys.dont_write_bytecode = True
+    with tempfile.TemporaryDirectory(prefix="qcongruence-mutants-") as tmp:
         trees = [pathlib.Path(tmp).resolve() / str(i) for i in range(COPIES)]
         for tree in trees:
             _copy(tree)
+        logs = pathlib.Path(tmp) / "logs"
+        logs.mkdir()
         stale = []
         for name, path, old, _, _ in rows:
             count = (trees[0] / path).read_text().count(old)
@@ -359,36 +436,34 @@ def main(argv=None):
             print("\n".join(stale))
             return 1
         # an installed qcongruence must not shadow the copy's
-        where = _python(trees[0], "-c",
-                        "import qcongruence; print(qcongruence.__file__)")
-        if not where.stdout.startswith(str(trees[0])):
-            print(f"qcongruence imports from {where.stdout.strip()!r}, "
+        os.waitpid(_forked(trees[0], logs / "where.txt", _where), 0)
+        where = (logs / "where.txt").read_text().strip()
+        if not where.startswith(str(trees[0])):
+            print(f"qcongruence imports from {where!r}, "
                   f"not from the copy {trees[0]}")
             return 1
         # the unmutated baseline, its selectors shared out over the copies
         selectors = sorted({s for row in rows for s in row[4]})
         parts = [selectors[i::COPIES] for i in range(COPIES)]
-        for base in pool.map(_pytest, trees, [p for p in parts if p]):
-            if base.returncode != 0:
+        for code, out, _ in _runs(trees, logs, [(None, None, None, p)
+                                                for p in parts if p]):
+            if code != 0:
                 print("the unmutated copy fails its selected tests:")
-                print(base.stdout[-3000:], base.stderr[-3000:])
+                print(out[-6000:])
                 return 1
-        free = queue.Queue()
-        for tree in trees:
-            free.put(tree)
         bad = 0
-        results = pool.map(lambda row: _mutated_run(free, row), rows)
-        for (name, *_), (res, seconds) in zip(rows, results):
+        results = _runs(trees, logs, [row[1:] for row in rows])
+        for (name, *_), (code, out, seconds) in zip(rows, results):
             # 1 is "tests failed"; anything else (0 passed, 2 a collection
             # error, ...) means the mutant was not caught by a test
             outcome = {0: "SURVIVED", 1: "killed"}.get(
-                res.returncode, f"pytest exit {res.returncode}")
-            summary = res.stdout.strip().splitlines()[-1:]
+                code, f"pytest exit {code}")
+            summary = out.strip().splitlines()[-1:]
             print(f"{outcome:>16}  {name}  ({seconds:.1f} s; "
                   f"{''.join(summary)})")
-            if res.returncode != 1:
+            if code != 1:
                 bad += 1
-                print(res.stdout[-2000:], res.stderr[-2000:])
+                print(out[-4000:])
     print(f"{len(rows) - bad} of {len(rows)} mutants killed in "
           f"{time.monotonic() - start:.0f} s")
     return 1 if bad else 0

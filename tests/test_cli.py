@@ -346,7 +346,13 @@ def _no_work(*args, **kwargs):
     ["show", "phi", "--d", "10001"],
     ["show", "N", "--r", "1", "--m", "2", "--n", "101"],
 ])
-def test_input_above_ceiling_exits_2_before_work(argv, monkeypatch):
+def test_input_above_ceiling_exits_2_before_work(argv, monkeypatch, capsys):
+    _exits_2_before_work(argv, monkeypatch, capsys)
+
+
+def _exits_2_before_work(argv, monkeypatch, capsys):
+    """Run argv with every path to work patched to fail; it must exit 2
+    with empty stdout. Returns its stderr."""
     for name in ("_tasks_for", "_run_all"):
         monkeypatch.setattr(cli, name, _no_work)
     # `show` calls its constructs through its table
@@ -355,6 +361,80 @@ def test_input_above_ceiling_exits_2_before_work(argv, monkeypatch):
     with pytest.raises(SystemExit) as err:
         run_main(argv)
     assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+# An in-range value for every grid flag of each subcommand, and its ceiling
+SHOW_VALUES = {"r": "1", "m": "2", "n": "3", "d": "5"}
+VERIFY_VALUES = {"r": "1", "m": "2", "rho": "2", "n": "2..3"}
+CEILINGS = {**{f: limit for f, (limit, _) in cli.GRID_LIMITS.items()},
+            "d": cli.SHOW_LIMITS["d"]}
+
+
+def _readers():
+    """(subcommand and object or claim, the grid flags it reads, an
+    in-range value for every grid flag of its subcommand)"""
+    for obj, (_, flags) in cli._SHOW.items():
+        yield ["show", obj], flags, SHOW_VALUES
+    for claim in cli.CLAIMS:
+        names = cli._NEEDS.get(claim) or verifier.DOMAINS[claim][0]
+        yield ["verify", claim], names, VERIFY_VALUES
+
+
+def _argv(head, values, flags):
+    return head + [a for f in flags for a in (f"--{f}", values[f])]
+
+
+FOREIGN = [_argv(head, values, (*reads, flag))
+           for head, reads, values in _readers()
+           for flag in values if flag not in reads]
+MISSING = [_argv(head, values, [f for f in reads if f != flag])
+           for head, reads, values in _readers() for flag in reads]
+ABOVE = [_argv(head, {**values, flag: str(CEILINGS[flag] + 1)}, reads)
+         for head, reads, values in _readers() for flag in reads]
+
+
+@pytest.mark.parametrize("argv", FOREIGN, ids=" ".join)
+def test_foreign_flag_exits_2_before_work(argv, monkeypatch, capsys):
+    err = _exits_2_before_work(argv, monkeypatch, capsys)
+    assert f"{argv[0]} {argv[1]} takes " in err
+
+
+@pytest.mark.parametrize("argv", MISSING, ids=" ".join)
+def test_missing_flag_exits_2_before_work(argv, monkeypatch, capsys):
+    err = _exits_2_before_work(argv, monkeypatch, capsys)
+    assert f"{argv[0]} {argv[1]} takes " in err
+
+
+@pytest.mark.parametrize("argv", ABOVE, ids=" ".join)
+def test_each_flag_read_is_bounded(argv, monkeypatch, capsys):
+    err = _exits_2_before_work(argv, monkeypatch, capsys)
+    assert "exceeds" in err
+
+
+def test_every_object_and_claim_is_covered():
+    heads = {tuple(argv[:2]) for argv in MISSING}
+    assert heads == ({("show", obj) for obj in cli._SHOW}
+                     | {("verify", claim) for claim in cli.CLAIMS})
+    # 11 foreign flags over the show objects and 9 over the claims; 17 and
+    # 23 flags read
+    assert len(FOREIGN) == 20 and len(ABOVE) == len(MISSING) == 40
+
+
+# each exited 0 while its foreign flag was in range, and 2 above its ceiling
+@pytest.mark.parametrize("argv,message", [
+    ("show B --r 7 --m 3 --n 2", "show B takes --m --n; got --r --m --n"),
+    ("verify central --r 5 --rho 2 --n 2..3",
+     "verify central takes --rho --n; got --r --rho --n"),
+    ("verify lemmas --r 1 --m 2 --rho 1 --n 5",
+     "verify lemmas takes --r --m --rho; got --r --m --rho --n"),
+], ids=["show-B", "verify-central", "verify-lemmas"])
+def test_a_flag_no_longer_ignored_exits_2(argv, message, monkeypatch,
+                                          capsys):
+    err = _exits_2_before_work(argv.split(), monkeypatch, capsys)
+    assert message in err
 
 
 def test_ranges_at_the_ceiling_are_accepted():
@@ -405,6 +485,24 @@ def test_report_bytes_pinned(fmt, jobs, tmp_path):
     assert run_main(PINNED_SPEC + ["--format", fmt, "--jobs", str(jobs),
                                    "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SHA256[fmt]
+
+
+# --full-polys end to end: full coefficient lists in the qcong verdicts
+# only. Hash taken before a qcong task became (kind, params) with
+# full_polys a keyword of verify_q_congruence alone.
+FULL_POLYS_SPEC = ["verify", "qcong", "--r", "1", "--m", "2", "--rho", "1..2",
+                   "--n", "1..4", "--full-polys", "--format", "json",
+                   "--no-timestamp"]
+FULL_POLYS_SHA256 = (
+    "691faf9c8568a1acd12271b5e421bb00866160e8f5f2721b0870feafa0c0085d")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_full_polys_report_bytes_pinned(jobs, tmp_path):
+    out = tmp_path / "report.json"
+    assert run_main(FULL_POLYS_SPEC + ["--jobs", str(jobs),
+                                       "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FULL_POLYS_SHA256
 
 
 # The benchmark's cli-sweep spec; hash taken before the q-congruence's
