@@ -21,11 +21,12 @@ its copy, puts the copy's src/ first on sys.path, imports the mutated
 package fresh and writes its output to a file. No test stubs or reloads
 sympy or hypothesis, so sharing the parent's copies of them is safe.
 Forking saves each row the interpreter start and those imports, which
-were most of its time: the 66-row table of the previous runner took 71
-and 73 s with it, and 34 and 34 s forked, alternately on a 2-core host
-with Python 3.11. The whole table (71 mutants) took 36 s there; keep it
-under 90 s, inside CI's two-minute step. Rows are forked from the main
-thread only, never from a thread pool.
+were most of its time: the previous 66-row table took 73 and 71 s with a
+fresh interpreter per row, and 34 and 34 s forked, run alternately on a
+2-core host with Python 3.11. The whole table (71 mutants) took 36 s
+there; keep it under 90 s, inside CI's two-minute step. Rows are forked
+from the main thread only, never from a thread pool.
+
 pytest does not collect this file (its testpaths pick up test_*.py only).
 A new oracle adds its mutants here.
 """
@@ -334,7 +335,7 @@ def _forked(tree, log, work):
     pid = os.fork()
     if pid:
         return pid
-    code = 70
+    code = 70  # EX_SOFTWARE, if work() raises
     try:
         fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
         os.dup2(fd, 1)
@@ -389,18 +390,18 @@ def _runs(trees, logs, jobs):
             for i, (path, old, new, selected) in itertools.islice(
                     todo, len(free)):
                 tree = free.pop()
-                f = tree / path if path else None
-                text = f.read_text() if f else None
-                if f:
-                    f.write_text(text.replace(old, new))
+                text = None
+                if path:
+                    text = (tree / path).read_text()
+                    (tree / path).write_text(text.replace(old, new))
                 log = logs / f"{i}.txt"
                 pid = _forked(tree, log, lambda s=selected: _pytest(s))
-                running[pid] = (i, tree, f, text, log, time.monotonic())
+                running[pid] = (i, tree, path, text, log, time.monotonic())
             pid, status = os.wait()
-            i, tree, f, text, log, t0 = running.pop(pid)
+            i, tree, path, text, log, t0 = running.pop(pid)
             seconds = time.monotonic() - t0
-            if f:
-                f.write_text(text)
+            if path:
+                (tree / path).write_text(text)
             free.append(tree)
             done[i] = (os.waitstatus_to_exitcode(status), log.read_text(),
                        seconds)

@@ -369,8 +369,7 @@ def _exits_2_before_work(argv, monkeypatch, capsys):
 # An in-range value for every grid flag of each subcommand, and its ceiling
 SHOW_VALUES = {"r": "1", "m": "2", "n": "3", "d": "5"}
 VERIFY_VALUES = {"r": "1", "m": "2", "rho": "2", "n": "2..3"}
-CEILINGS = {**{f: limit for f, (limit, _) in cli.GRID_LIMITS.items()},
-            "d": cli.SHOW_LIMITS["d"]}
+CEILINGS = {**cli.SHOW_LIMITS, "rho": cli.GRID_LIMITS["rho"][0]}
 
 
 def _readers():
@@ -487,9 +486,9 @@ def test_report_bytes_pinned(fmt, jobs, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SHA256[fmt]
 
 
-# --full-polys end to end: full coefficient lists in the qcong verdicts
-# only. Hash taken before a qcong task became (kind, params) with
-# full_polys a keyword of verify_q_congruence alone.
+# --full-polys end to end: the qcong verdicts carry full coefficient lists.
+# Hash taken before a qcong task became (kind, params) with full_polys a
+# keyword of verify_q_congruence alone.
 FULL_POLYS_SPEC = ["verify", "qcong", "--r", "1", "--m", "2", "--rho", "1..2",
                    "--n", "1..4", "--full-polys", "--format", "json",
                    "--no-timestamp"]
