@@ -49,8 +49,9 @@ def main():
     print(f"  rho=2, n=6: {v.lhs}, passed={v.passed}")
     print()
 
-    print("One divisibility here is only conjectured, for the cubed sum")
-    print("with weight (4k+1) and base -64. The checker treats it as data:")
+    print("One divisibility here is only conjectured: the sum over k < n")
+    print("of (5k+1) binom(2k,k)^2 binom(3k,k) (-192)^(n-1-k) is divisible")
+    print("by n binom(2n,n). The checker treats it as data:")
     for n_ in (2, 3, 10, 50):
         v = verify_sun_conjecture(n_)
         word = "holds" if v.passed else "COUNTEREXAMPLE"

@@ -5,7 +5,9 @@ only.
 
 Coefficients are stored ascending, entry i holding the coefficient of q^i,
 with trailing zeros trimmed so every value has exactly one representation.
-The zero polynomial is the empty tuple, and its degree is None.
+The zero polynomial is the empty tuple, and its degree is None. IntPoly's
+operations are degree, is_zero, the product, evaluate, content, div_exact
+and rem_monic (remainder modulo a monic polynomial).
 
 The convolution of two coefficient sequences, mul_lists, picks between
 schoolbook (iterating over the operand with fewer nonzero entries, so
@@ -92,13 +94,10 @@ def _pack(cs, nbytes):
 
 
 def _mul_kronecker(a, b):
-    maxa = max(map(abs, a), default=0)
-    maxb = max(map(abs, b), default=0)
-    # mul_lists sends a zero operand to _mul_school and never gets here, but
-    # the kernel is also called directly: bound 0 would give slots too
-    # narrow to pack the other operand
-    if maxa == 0 or maxb == 0:
-        return [0] * max(len(a) + len(b) - 1, 0)
+    maxa = max(map(abs, a))
+    maxb = max(map(abs, b))
+    # a and b each hold a nonzero entry, as mul_lists sends a zero operand
+    # to _mul_school: a bound of 0 would give slots too narrow to pack them.
     # |c_k| <= bound < half = 2^(w - 1), so each biased slot c_k + half lies
     # in [1, 2^w - 1] and the base-2^w digits of A(2^w) B(2^w) + bias are
     # exactly the c_k + half
@@ -251,23 +250,6 @@ class IntPoly(Record):
     def is_zero(self):
         return not self.coeffs
 
-    @property
-    def lead(self):
-        """Leading coefficient; 0 for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    def __sub__(self, other):
-        return self + IntPoly([-c for c in other.coeffs])
-
     def __mul__(self, other):
         if not isinstance(other, IntPoly):
             return NotImplemented
@@ -320,7 +302,7 @@ class IntPoly(Record):
         >>> IntPoly(0, 0, 0, 0, 0, 1).rem_monic(IntPoly(1, 1, 1))
         -q - 1
         """
-        if mod.lead != 1:
+        if mod.coeffs[-1:] != (1,):
             raise ValueError("modulus must be monic")
         dn = len(mod.coeffs) - 1
         return IntPoly(_long_div(self.coeffs, mod.coeffs)[:dn])

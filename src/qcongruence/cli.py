@@ -17,17 +17,21 @@ Grid flags --r --m --rho --n take a single integer or an inclusive range
 `verify` a claim's verifier.DOMAINS entry, in argument order (`lemmas` and
 `all`, which have no entry, list theirs in _NEEDS), and `show` an object's
 _SHOW entry, its construct and that construct's flags in argument order.
-A missing or foreign grid flag exits with code 2 before any work starts,
-naming the flags the subcommand takes. Each flag read, --d-max and
-`show --d` have ceilings (GRID_LIMITS, D_MAX_LIMIT, SHOW_LIMITS); a value
-above one, or a --d-max below 2, exits 2 as well. Every task is (kind,
-params): a verifier kind's functions (_VERIFIERS), or a lemma kind's
-cycmodfield.check_<kind>, take the params by name. Instances outside a
-claim's domain (verifier.DOMAINS; for `lemmas`, a pair outside
-constructs.pair_ok) are skipped and counted, never errored; `show` refuses
-an (r, m) pair outside pair_ok as a usage error, and B and C, which take
-no r, exit 2 on their constructs' DomainError. Exit codes: 0 all pass,
-1 a proven claim failed, 2 usage error, 3 conjecture counterexample.
+The options --d-max and --full-polys are read by the claims _OPTIONS
+names (--d-max by `lemmas` and `all`, --full-polys by `qcong` and `all`);
+one left out reaches the report's spec as its default (_OPTION_DEFAULTS).
+A missing grid flag, or a foreign grid flag or option, exits with code 2
+before any work starts, naming the flags the subcommand takes. Each flag
+read, --d-max and `show --d` have ceilings (GRID_LIMITS, D_MAX_LIMIT,
+SHOW_LIMITS); a value above one, or a --d-max below 2, exits 2 as well.
+Every task is (kind, params): a verifier kind's functions (_VERIFIERS), or
+a lemma kind's cycmodfield.check_<kind>, take the params by name.
+Instances outside a claim's domain (verifier.DOMAINS; for `lemmas`, a
+pair outside constructs.pair_ok) are skipped and counted, never errored;
+`show` refuses an (r, m) pair outside pair_ok as a usage error, and B and
+C, which take no r, exit 2 on their constructs' DomainError. Exit codes:
+0 all pass, 1 a proven claim failed, 2 usage error, 3 conjecture
+counterexample.
 
 Reports are deterministic for a fixed spec: iteration is in sorted
 parameter order, results are emitted in task order regardless of worker
@@ -56,6 +60,11 @@ CLAIMS = (*PROVEN, "sun", "all")
 # the grid flags of the claims without a verifier.DOMAINS entry; every other
 # claim needs its entry's parameter names, in argument order
 _NEEDS = {"lemmas": ("r", "m", "rho"), "all": ("r", "m", "rho", "n")}
+# claim -> the options it reads, which every other claim refuses; an option
+# left out reaches the tasks and the report's spec as its default
+_OPTIONS = {"qcong": ("full_polys",), "lemmas": ("d_max",),
+            "all": ("d_max", "full_polys")}
+_OPTION_DEFAULTS = {"d_max": 20, "full_polys": False}
 
 _PARAM_ORDER = ("r", "m", "rho", "n", "d", "s", "t", "h")
 
@@ -272,13 +281,18 @@ _SHOW = {"phi": (phi, ("d",)), "lambda": (lambda_residue, ("r", "m", "d")),
          "N": (n_alpha, ("r", "m", "n"))}
 
 
-def _read_flags(parser, what, takes, args, flags):
-    """The values of the flags `takes`, in its order; exit 2 unless exactly
-    those of `flags` are given."""
+def _dashed(flags):
+    return " ".join("--" + f.replace("_", "-") for f in flags)
+
+
+def _read_flags(parser, what, takes, args, flags, options=()):
+    """The values of the flags `takes`, in its order; exit 2 unless those
+    of `flags` that are given are all of `takes` and any of `options`."""
     given = [f for f in flags if getattr(args, f) is not None]
-    if set(given) != set(takes):
-        parser.error(f"{what} takes --{' --'.join(takes)}; got "
-                     + (" ".join(f"--{f}" for f in given) or "none"))
+    if not set(takes) <= set(given) <= {*takes, *options}:
+        parser.error(f"{what} takes {_dashed(takes)}; got "
+                     + (_dashed(given) or "none")
+                     + (f"; optional: {_dashed(options)}" if options else ""))
     return [getattr(args, f) for f in takes]
 
 
@@ -312,19 +326,21 @@ def cmd_verify(args, parser):
     claims = list(PROVEN) if args.claim == "all" else [args.claim]
     needed = _NEEDS.get(args.claim) or verifier.DOMAINS[args.claim][0]
     values = _read_flags(parser, f"verify {args.claim}", needed, args,
-                         GRID_LIMITS)
+                         [*GRID_LIMITS, *_OPTION_DEFAULTS],
+                         _OPTIONS.get(args.claim, ()))
     grid = {}
     for flag, raw in zip(needed, values):
         try:
             grid[flag] = _parse_range(raw, *GRID_LIMITS[flag])
         except ValueError as exc:
             parser.error(f"--{flag}: {exc}")
-    if args.d_max > D_MAX_LIMIT:
-        parser.error(f"--d-max {args.d_max} exceeds {D_MAX_LIMIT}")
-    if args.d_max < 2:
-        parser.error(f"--d-max {args.d_max}: need at least 2")
+    if args.d_max is not None and not 2 <= args.d_max <= D_MAX_LIMIT:
+        parser.error(f"--d-max {args.d_max}: need 2..{D_MAX_LIMIT}")
     if args.jobs < 1:
         parser.error(f"--jobs {args.jobs}: need at least 1")
+    for option, default in _OPTION_DEFAULTS.items():
+        if getattr(args, option) is None:
+            setattr(args, option, default)
 
     tasks = []
     skipped = 0
@@ -400,15 +416,17 @@ def build_parser():
         p_ver.add_argument(f"--{flag}",
                            help=f"integer or inclusive range a..b; "
                                 f"|value| <= {limit}, at most {most} values")
-    p_ver.add_argument("--d-max", type=int, default=20,
+    p_ver.add_argument("--d-max", type=int,
                        help=f"bound for per-modulus checks, 2..{D_MAX_LIMIT} "
-                            f"(default 20)")
+                            f"(default {_OPTION_DEFAULTS['d_max']}); "
+                            f"lemmas and all only")
     p_ver.add_argument("--format", choices=["text", "json", "csv"],
                        default="text")
     p_ver.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_ver.add_argument("--fail-fast", action="store_true")
-    p_ver.add_argument("--full-polys", action="store_true",
-                       help="full coefficient lists instead of digests")
+    p_ver.add_argument("--full-polys", action="store_true", default=None,
+                       help="full coefficient lists instead of digests; "
+                            "qcong and all only")
     p_ver.add_argument("--no-timestamp", action="store_true")
     p_ver.add_argument("--out", help="write the report to a file")
     return parser

@@ -59,17 +59,6 @@ class FactoredQ(Record):
             return "1" if self.sign > 0 else "-1"
         return ("-" if self.sign < 0 else "") + " * ".join(parts)
 
-    def exponent_of(self, d):
-        for dd, e in self.factors:
-            if dd == d:
-                return e
-        return 0
-
-    @property
-    def is_laurent_poly(self):
-        """True when no cyclotomic appears with negative exponent."""
-        return all(e >= 0 for _, e in self.factors)
-
     def __mul__(self, other):
         tally = dict(self.factors)
         for d, e in other.factors:
@@ -94,7 +83,7 @@ class FactoredQ(Record):
         >>> FactoredQ(-1, 5, {2: 2, 4: -1, 6: 3}).value_at_one()
         Fraction(-2, 1)
         """
-        e1 = self.exponent_of(1)
+        e1 = dict(self.factors).get(1, 0)
         if e1 > 0:
             return Fraction(0)
         if e1 < 0:
@@ -117,7 +106,7 @@ class FactoredQ(Record):
         >>> pochhammer(-1, 2, 2).expand()
         -q + 2 - q^-1
         """
-        if not self.is_laurent_poly:
+        if any(e < 0 for _, e in self.factors):
             raise DomainError("negative cyclotomic exponents remain")
         cs = phi_product(dict(self.factors))
         return LaurentInt(IntPoly(cs if self.sign > 0 else [-c for c in cs]),

@@ -67,6 +67,7 @@ INTEGER_ORACLE = "tests/test_integer_oracles.py::"
 PINNED_REPORT = "tests/test_cli.py::test_report_bytes_pinned[text-1]"
 IGNORED_FLAG = "tests/test_cli.py::test_a_flag_no_longer_ignored_exits_2"
 MISSING_FLAG = "tests/test_cli.py::test_missing_flag_exits_2_before_work"
+FOREIGN_FLAG = "tests/test_cli.py::test_foreign_flag_exits_2_before_work"
 FULL_POLYS = "tests/test_cli.py::test_full_polys_report_bytes_pinned[1]"
 EXACT_RULES = "tests/test_exact_rules.py::test_module_keeps_the_exact_rules"
 SUMMAND_ORACLE = "tests/test_summand_oracle.py"
@@ -172,6 +173,9 @@ MUTANTS = [
      "return IntPoly(_long_div(self.coeffs, mod.coeffs)[:dn])",
      "return IntPoly(_long_div(self.coeffs, mod.coeffs)[:dn - 1])",
      ["tests/test_bigpoly.py::test_rem_monic"]),
+    ("rem_monic accepts a non-monic modulus", BIGPOLY,
+     "        if mod.coeffs[-1:] != (1,):\n", "        if False:\n",
+     ["tests/test_bigpoly.py::test_rem_monic_refuses_a_non_monic_modulus"]),
     ("IntPoly * drops its operand check", BIGPOLY,
      "        if not isinstance(other, IntPoly):\n"
      "            return NotImplemented\n", "",
@@ -245,12 +249,19 @@ MUTANTS = [
      "                        if getattr(args, f) is not None):\n",
      [IGNORED_FLAG + "[show-B]"]),
     ("verify accepts a grid flag no requested claim names", CLI,
-     "needed, args,\n                         GRID_LIMITS)",
-     "needed, args,\n                         needed)",
+     "[*GRID_LIMITS, *_OPTION_DEFAULTS],", "needed,",
      [IGNORED_FLAG + "[verify-central]"]),
     ("_read_flags lets a missing flag through", CLI,
-     "if set(given) != set(takes):", "if not set(given) <= set(takes):",
+     "if not set(takes) <= set(given) <= {*takes, *options}:",
+     "if not set(given) <= {*takes, *options}:",
      [MISSING_FLAG + "[show phi]"]),
+    ("verify reads --d-max for every claim again", CLI,
+     "_OPTIONS.get(args.claim, ()))",
+     "(*_OPTIONS.get(args.claim, ()), \"d_max\"))",
+     [FOREIGN_FLAG + "[verify central --rho 2 --n 2..3 --d-max 50]"]),
+    ("an absent option reaches the spec as null", CLI,
+     "            setattr(args, option, default)\n", "            pass\n",
+     ["tests/test_cli.py::test_report_bytes_pinned[json-1]"]),
     ("a qcong task drops full_polys", CLI,
      "params[\"full_polys\"] = full_polys",
      "params[\"full_polys\"] = False", [FULL_POLYS]),
@@ -280,6 +291,10 @@ MUTANTS = [
     ("rising's numerator starts at r + m", CONSTRUCTS,
      "num *= r + k * m", "num *= r + (k + 1) * m",
      [FRACTION_ORACLE + "test_rising_matches_fraction_oracle"]),
+    ("expand accepts a negative exponent", QSERIES,
+     "        if any(e < 0 for _, e in self.factors):\n",
+     "        if False:\n",
+     ["tests/test_qseries.py::test_expand_refuses_negative_exponents"]),
     ("value_at_one multiplies a negative exponent into the numerator",
      QSERIES,
      "den *= phi_at_one(d) ** -e", "num *= phi_at_one(d) ** -e",

@@ -366,33 +366,39 @@ def _exits_2_before_work(argv, monkeypatch, capsys):
     return captured.err
 
 
-# An in-range value for every grid flag of each subcommand, and its ceiling
+# An in-range value for every grid flag and option of each subcommand
+# (None for an option that takes no value), and each grid flag's ceiling
 SHOW_VALUES = {"r": "1", "m": "2", "n": "3", "d": "5"}
-VERIFY_VALUES = {"r": "1", "m": "2", "rho": "2", "n": "2..3"}
+VERIFY_VALUES = {"r": "1", "m": "2", "rho": "2", "n": "2..3",
+                 "d_max": "50", "full_polys": None}
 CEILINGS = {**cli.SHOW_LIMITS, "rho": cli.GRID_LIMITS["rho"][0]}
 
 
 def _readers():
-    """(subcommand and object or claim, the grid flags it reads, an
-    in-range value for every grid flag of its subcommand)"""
+    """(subcommand and object or claim, the grid flags it reads, the
+    options it reads, an in-range value for every grid flag and option of
+    its subcommand)"""
     for obj, (_, flags) in cli._SHOW.items():
-        yield ["show", obj], flags, SHOW_VALUES
+        yield ["show", obj], flags, (), SHOW_VALUES
     for claim in cli.CLAIMS:
         names = cli._NEEDS.get(claim) or verifier.DOMAINS[claim][0]
-        yield ["verify", claim], names, VERIFY_VALUES
+        yield (["verify", claim], names, cli._OPTIONS.get(claim, ()),
+               VERIFY_VALUES)
 
 
 def _argv(head, values, flags):
-    return head + [a for f in flags for a in (f"--{f}", values[f])]
+    return head + [a for f in flags
+                   for a in (f"--{f.replace('_', '-')}", values[f])
+                   if a is not None]
 
 
 FOREIGN = [_argv(head, values, (*reads, flag))
-           for head, reads, values in _readers()
-           for flag in values if flag not in reads]
+           for head, reads, options, values in _readers()
+           for flag in values if flag not in (*reads, *options)]
 MISSING = [_argv(head, values, [f for f in reads if f != flag])
-           for head, reads, values in _readers() for flag in reads]
+           for head, reads, _, values in _readers() for flag in reads]
 ABOVE = [_argv(head, {**values, flag: str(CEILINGS[flag] + 1)}, reads)
-         for head, reads, values in _readers() for flag in reads]
+         for head, reads, _, values in _readers() for flag in reads]
 
 
 @pytest.mark.parametrize("argv", FOREIGN, ids=" ".join)
@@ -417,19 +423,27 @@ def test_every_object_and_claim_is_covered():
     heads = {tuple(argv[:2]) for argv in MISSING}
     assert heads == ({("show", obj) for obj in cli._SHOW}
                      | {("verify", claim) for claim in cli.CLAIMS})
-    # 11 foreign flags over the show objects and 9 over the claims; 17 and
-    # 23 flags read
-    assert len(FOREIGN) == 20 and len(ABOVE) == len(MISSING) == 40
+    # 11 foreign flags over the show objects and 9 over the claims, 12
+    # foreign options (--d-max outside lemmas and all, --full-polys outside
+    # qcong and all); 17 and 23 grid flags read
+    assert len(FOREIGN) == 32 and len(ABOVE) == len(MISSING) == 40
 
 
-# each exited 0 while its foreign flag was in range, and 2 above its ceiling
+# each exited 0 while its foreign flag was in range, and a grid flag or
+# --d-max above its ceiling exited 2
 @pytest.mark.parametrize("argv,message", [
     ("show B --r 7 --m 3 --n 2", "show B takes --m --n; got --r --m --n"),
     ("verify central --r 5 --rho 2 --n 2..3",
      "verify central takes --rho --n; got --r --rho --n"),
     ("verify lemmas --r 1 --m 2 --rho 1 --n 5",
      "verify lemmas takes --r --m --rho; got --r --m --rho --n"),
-], ids=["show-B", "verify-central", "verify-lemmas"])
+    ("verify central --rho 2 --n 2 --d-max 50",
+     "verify central takes --rho --n; got --rho --n --d-max"),
+    ("verify binomsum --r 1 --m 2 --rho 1 --n 2 --full-polys",
+     "verify binomsum takes --r --m --rho --n; "
+     "got --r --m --rho --n --full-polys"),
+], ids=["show-B", "verify-central", "verify-lemmas", "verify-central-d-max",
+        "verify-binomsum-full-polys"])
 def test_a_flag_no_longer_ignored_exits_2(argv, message, monkeypatch,
                                           capsys):
     err = _exits_2_before_work(argv.split(), monkeypatch, capsys)

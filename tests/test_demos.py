@@ -17,8 +17,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMO_SHA256 = {
     "cyclotomic_tour.py":
         "539629c68ea2ba49d76b59cdfcd3b4d213ea892a2c4e511dfc7f08119775df64",
+    # re-taken when the conjectured sum's description was corrected
     "divisible_sums.py":
-        "b6eead5d7d8ff3d55474a162d66098df166c9e48ee4b9f01fe76fe409e94579e",
+        "f535a282dfbabfe03ada137b0119988cd6ed771e65f9419b8aa666d5ef81e1ba",
     "factored_pochhammer.py":
         "30b735e2976e9e8a1186278d2d7b3efd11270277997acb2e33b33ebf339ee877",
     "q_congruence_walkthrough.py":

@@ -38,12 +38,15 @@ QCONG_PAIRS = [(1, 2), (-1, 2), (1, 3), (2, 3), (1, 4), (3, 4)]
 
 
 def _add(p, q):
-    """The LaurentInt p + q: both bases padded to the lower shift, then
-    added as polynomials."""
+    """The LaurentInt p + q: both bases padded to the lower shift and to
+    one length, then added entry by entry."""
     s = min(p.shift, q.shift)
-    a = IntPoly((0,) * (p.shift - s) + p.base.coeffs)
-    b = IntPoly((0,) * (q.shift - s) + q.base.coeffs)
-    return LaurentInt(a + b, s)
+    a = [0] * (p.shift - s) + list(p.base.coeffs)
+    b = [0] * (q.shift - s) + list(q.base.coeffs)
+    n = max(len(a), len(b))
+    a += [0] * (n - len(a))
+    b += [0] * (n - len(b))
+    return LaurentInt(IntPoly([x + y for x, y in zip(a, b)]), s)
 
 
 def _times_binom(p, x):
@@ -65,7 +68,7 @@ def oracle_terms(r, m, rho, n):
         if x == 0:
             continue
         term = bf_rho * poch_ratio(r, m, k) ** rho * pochhammer(x, 1, 1)
-        if not (term * FactoredQ(1, 0, {1: -1})).is_laurent_poly:
+        if any(e < 0 for _, e in (term * FactoredQ(1, 0, {1: -1})).factors):
             nonintegral_k = k
             break
 
@@ -137,7 +140,7 @@ def test_remainder_matches_sympy(r, m):
             cleared, AC = data["cleared"].base, data["AC"]
             assert data["remainder"].is_zero, (r, m, rho, n)
             assert _sympy_rem(cleared, AC).is_zero, (r, m, rho, n)
-            moved = cleared + IntPoly(1)
+            moved = IntPoly([cleared.coeffs[0] + 1, *cleared.coeffs[1:]])
             assert moved.rem_monic(AC) == _sympy_rem(moved, AC), \
                 (r, m, rho, n)
             assert AC.degree == 0 or not moved.rem_monic(AC).is_zero, \
