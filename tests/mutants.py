@@ -23,9 +23,9 @@ sympy or hypothesis, so sharing the parent's copies of them is safe.
 Forking saves each row the interpreter start and those imports, which
 were most of its time: the previous 66-row table took 73 and 71 s with a
 fresh interpreter per row, and 34 and 34 s forked, run alternately on a
-2-core host with Python 3.11. The whole table (71 mutants) took 36 s
-there; keep it under 90 s, inside CI's two-minute step. Rows are forked
-from the main thread only, never from a thread pool.
+2-core host with Python 3.11. The whole table (75 mutants) took 39 to
+45 s there; keep it under 90 s, inside CI's two-minute step. Rows are
+forked from the main thread only, never from a thread pool.
 
 pytest does not collect this file (its testpaths pick up test_*.py only).
 A new oracle adds its mutants here.

@@ -19,6 +19,7 @@ The divisibility itself is read from one remainder modulo A*C; sympy
 recomputes that remainder below.
 """
 
+import itertools
 import math
 import random
 
@@ -38,15 +39,13 @@ QCONG_PAIRS = [(1, 2), (-1, 2), (1, 3), (2, 3), (1, 4), (3, 4)]
 
 
 def _add(p, q):
-    """The LaurentInt p + q: both bases padded to the lower shift and to
-    one length, then added entry by entry."""
+    """The LaurentInt p + q: both bases padded to the lower shift, then
+    added entry by entry."""
     s = min(p.shift, q.shift)
-    a = [0] * (p.shift - s) + list(p.base.coeffs)
-    b = [0] * (q.shift - s) + list(q.base.coeffs)
-    n = max(len(a), len(b))
-    a += [0] * (n - len(a))
-    b += [0] * (n - len(b))
-    return LaurentInt(IntPoly([x + y for x, y in zip(a, b)]), s)
+    a = (0,) * (p.shift - s) + p.base.coeffs
+    b = (0,) * (q.shift - s) + q.base.coeffs
+    return LaurentInt(IntPoly([x + y for x, y in
+                               itertools.zip_longest(a, b, fillvalue=0)]), s)
 
 
 def _times_binom(p, x):
